@@ -45,7 +45,9 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _CONFIG_ERRORS = (SpecError, GridError, ValueError)
+# LinAlgError subclasses ValueError, so main() must test this tuple first
 _NUMERICAL_ERRORS = (
+    np.linalg.LinAlgError,
     StabilityError,
     DegenerateSpectrumError,
     RankError,

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: configuration problems (bad spec files,
 mismatched grids) exit with 2, numerical failures (stability, rank,
-regularization) with 3, I/O with 4.
+regularization, and numpy's ``LinAlgError``) with 3, I/O with 4.
 """
 
 

@@ -15,7 +15,11 @@ recursion
 
 with a_0 = 1/l_1 in the parameter line (the image recursion starts with no
 predecessor term), and l_{k+1} = 1/a_k.  All solves share one truncated
-eigendecomposition of the quadrature-weighted kernel.
+eigendecomposition of the quadrature-weighted kernel.  Because the kernel has
+rank N-1, that decomposition is computed from a seeded randomized block range
+finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011) that only applies
+the kernel to thin blocks; it falls back to a full eigendecomposition only
+when the numerical rank is a sizeable fraction of the grid.
 """
 
 from __future__ import annotations
@@ -23,12 +27,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hankel, toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridError, RankError, RecoveryError, RegularizationError
 from .forward import TimeGrid, Waveform
 
 A_DIVISION_GUARD = 1e-10
+
+# Randomized range finder: starting block width, power passes per block, the
+# fixed sketch seed (reruns stay byte-identical), and the fraction of the grid
+# a block may reach before a full eigendecomposition is cheaper.
+SKETCH_BLOCK = 16
+SKETCH_POWER_PASSES = 2
+SKETCH_SEED = 20110
+FULL_BASIS_FRACTION = 1.0 / 8.0
 
 
 @dataclass(frozen=True)
@@ -93,11 +105,25 @@ def build_connector(r: Waveform, l1: float, grid: TimeGrid) -> DiscretizedConnec
             f"response step must divide the control step: {r.grid.n_steps} "
             f"samples cannot map onto {2 * n}"
         )
+    bad = np.flatnonzero(~np.isfinite(r.values))
+    if len(bad):
+        i = int(bad[0])
+        raise GridError(
+            f"response sample {i} (t={float(r.grid.times[i])!r}) is "
+            f"{float(r.values[i])!r}; the kernel needs finite samples"
+        )
     q = r.grid.n_steps // (2 * n)
     cumulative = _cumulative_trapezoid(r.values, r.grid.dt)[::q]
-    scale = 1.0 / (2.0 * l1)
-    # c(t_i, t_j) indexes the antiderivative at |i-j| and 2n-i-j
-    kernel = scale * (hankel(cumulative[2 * n :: -1][: n + 1], cumulative[n::-1]) - toeplitz(cumulative[: n + 1]))
+    # c(t_i, t_j) indexes the antiderivative at 2n-i-j (Hankel part) and
+    # |i-j| (Toeplitz part); both indices are symmetric in (i, j), so the
+    # kernel is exactly symmetric and the factorization needs no
+    # symmetrization
+    hankel_part = sliding_window_view(cumulative[::-1], n + 1)
+    toeplitz_part = sliding_window_view(
+        np.concatenate((cumulative[n:0:-1], cumulative[: n + 1])), n + 1
+    )[::-1]
+    kernel = np.subtract(hankel_part, toeplitz_part)
+    kernel *= 1.0 / (2.0 * l1)
     return DiscretizedConnector(
         grid=grid, kernel=kernel, quad_weights=_trapezoid_weights(n, grid.dt)
     )
@@ -107,25 +133,55 @@ class ConnectorFactorization:
     """Shared truncated eigendecomposition of the weighted kernel.
 
     The kernel is symmetric positive semi-definite in the trapezoid inner
-    product, so its weighted symmetrization D K D (D = diag(sqrt(w))) is
-    an ordinary symmetric eigenproblem; truncation keeps singular values
-    above ``reg.threshold * sigma_max`` with the cut refined to the largest
+    product, so its weighted form D K D (D = diag(sqrt(w))) is an ordinary
+    symmetric eigenproblem; truncation keeps singular values above
+    ``reg.threshold * sigma_max`` with the cut refined to the largest
     relative gap when values straddle the threshold.
+
+    D K D is applied implicitly to seeded Gaussian blocks: each block gets
+    ``SKETCH_POWER_PASSES`` power passes, re-orthonormalized after each, and
+    a Rayleigh-Ritz step.  The block doubles until at least half of its Ritz
+    values fall below the bottom of the tie-break band,
+    ``threshold / 10 * sigma_max``, so the cut and its gap lie inside the
+    block.  ``singular_values`` then holds the block's Ritz values, largest
+    first.  A block that would exceed ``FULL_BASIS_FRACTION`` of the grid
+    is replaced by the exact eigendecomposition of the whole weighted
+    kernel, and ``singular_values`` holds all n+1 values.
     """
 
     def __init__(self, connector: DiscretizedConnector, reg: Regularization | None = None):
         self.connector = connector
         self.reg = reg or Regularization()
-        sqrt_w = np.sqrt(connector.quad_weights)
-        sym = sqrt_w[:, None] * connector.kernel * sqrt_w[None, :]
-        sym = 0.5 * (sym + sym.T)
-        vals, vecs = np.linalg.eigh(sym)
+        self._sqrt_w = np.sqrt(connector.quad_weights)
+        vals, vecs = self._ritz_pairs()
         order = np.argsort(np.abs(vals))[::-1]
         self.singular_values = np.abs(vals)[order]
         self._vals = vals[order]
         self._vecs = vecs[:, order]
-        self._sqrt_w = sqrt_w
         self.rank = _rank_by_threshold(self.singular_values, self.reg.threshold)
+
+    def _apply_weighted(self, block: np.ndarray) -> np.ndarray:
+        """D K D applied to the columns of ``block``."""
+        sqrt_w = self._sqrt_w[:, None]
+        return sqrt_w * (self.connector.kernel @ (sqrt_w * block))
+
+    def _ritz_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        size = len(self._sqrt_w)
+        rng = np.random.default_rng(SKETCH_SEED)
+        floor = self.reg.threshold / 10.0
+        width = SKETCH_BLOCK
+        while width <= FULL_BASIS_FRACTION * size:
+            basis, _ = np.linalg.qr(self._apply_weighted(rng.standard_normal((size, width))))
+            for _ in range(SKETCH_POWER_PASSES):
+                basis, _ = np.linalg.qr(self._apply_weighted(basis))
+            ritz, coords = np.linalg.eigh(basis.T @ self._apply_weighted(basis))
+            magnitude = np.abs(ritz)
+            top = magnitude.max()
+            if top == 0.0 or np.count_nonzero(magnitude < floor * top) >= width // 2:
+                return ritz, basis @ coords
+            width *= 2
+        sqrt_w = self._sqrt_w
+        return np.linalg.eigh(sqrt_w[:, None] * self.connector.kernel * sqrt_w[None, :])
 
     @property
     def condition_number(self) -> float:
@@ -141,12 +197,12 @@ class ConnectorFactorization:
         weighted_rhs = self._sqrt_w * rhs_values
         basis = self._vecs[:, : self.rank]
         coeffs = (basis.T @ weighted_rhs) / self._vals[: self.rank]
-        solution_w = basis @ coeffs
+        solution = (basis @ coeffs) / self._sqrt_w
         # residual measured against the full (untruncated) operator
-        applied = self._vecs @ (self._vals * (self._vecs.T @ solution_w))
+        applied = self._sqrt_w * self.connector.apply(solution)
         rhs_norm = float(np.linalg.norm(weighted_rhs))
         residual = float(np.linalg.norm(applied - weighted_rhs)) / max(rhs_norm, 1e-300)
-        return solution_w / self._sqrt_w, residual
+        return solution, residual
 
 
 def _rank_by_threshold(singular_values: np.ndarray, threshold: float) -> int:

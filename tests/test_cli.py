@@ -54,8 +54,50 @@ def test_response_and_invert_round_trip(tmp_path, spec_file):
     rows = np.loadtxt(out / "recovery.csv", delimiter=",", skiprows=2, comments="#")
     assert rows.shape == (2, 7)
     assert np.allclose(rows[:, 1], [1.0, 2.0], rtol=2e-2)  # m_k column
-    sv = np.loadtxt(out / "singular_values.csv", delimiter=",", skiprows=2)
-    assert sv.shape[0] == 2001
+    # the truncated factorization writes its leading Ritz values, not all n+1
+    sigma = np.loadtxt(out / "singular_values.csv", delimiter=",", skiprows=2)[:, 1]
+    assert np.all(np.diff(sigma) <= 0.0)
+    assert np.count_nonzero(sigma >= 1e-8 * sigma[0]) == 2
+    assert np.count_nonzero(sigma < 1e-9 * sigma[0]) >= len(sigma) / 2
+
+
+@pytest.fixture
+def small_response(tmp_path):
+    """r = sin 2t (one unit mass, l_1 = 0.5) on [0, 2] in 200 steps."""
+
+    def write(bad_index=None):
+        t = np.linspace(0.0, 2.0, 201)
+        r = np.sin(2.0 * t)
+        if bad_index is not None:
+            r[bad_index] = np.nan
+        path = tmp_path / "response.csv"
+        rows = [f"{a:.17g},{b:.17g}" for a, b in zip(t, r)]
+        path.write_text("\n".join(["# test", "t,r", *rows]) + "\n", encoding="utf-8")
+        return str(path)
+
+    return write
+
+
+def invert_small(response, out):
+    return run("invert", "--response", response, "--l1", "0.5", "--steps", "100", "--out", str(out))
+
+
+def test_invert_rejects_non_finite_response(tmp_path, small_response, capsys):
+    assert invert_small(small_response(), tmp_path / "ok") == 0
+    capsys.readouterr()
+    assert invert_small(small_response(bad_index=57), tmp_path / "bad") == 2
+    err = capsys.readouterr().err
+    assert "error_code=2" in err
+    assert "response sample 57" in err and "nan" in err
+
+
+def test_linalg_failure_is_numerical(tmp_path, small_response, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("krein_string.cli.recover_string", failing)
+    assert invert_small(small_response(), tmp_path) == 3
+    assert "error_code=3 detail=Eigenvalues did not converge" in capsys.readouterr().err
 
 
 def test_roundtrip_command(tmp_path, spec_file, capsys):

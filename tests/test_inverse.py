@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import hankel, toeplitz
 
 from krein_string import (
     GridError,
@@ -18,7 +19,11 @@ from krein_string import (
     solve_forward_spectral,
     solve_krein,
 )
-from krein_string.inverse import ConnectorFactorization
+from krein_string.inverse import (
+    ConnectorFactorization,
+    _cumulative_trapezoid,
+    _rank_by_threshold,
+)
 
 from conftest import random_spec
 
@@ -30,6 +35,32 @@ def exact_response(spec, grid, oversample=8):
 
 
 SINGLE = StringSpec([0.5, 0.5], [1.0])
+
+
+def dense_oracle(connector, threshold):
+    """Full eigendecomposition of the explicitly weighted kernel, the reference
+    for the truncated factorization: (singular values, rank, solve)."""
+    sqrt_w = np.sqrt(connector.quad_weights)
+    vals, vecs = np.linalg.eigh(sqrt_w[:, None] * connector.kernel * sqrt_w[None, :])
+    order = np.argsort(np.abs(vals))[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    rank = _rank_by_threshold(np.abs(vals), threshold)
+
+    def solve(rhs):
+        basis = vecs[:, :rank]
+        return basis @ ((basis.T @ (sqrt_w * rhs)) / vals[:rank]) / sqrt_w
+
+    return np.abs(vals), rank, solve
+
+
+def random_connector(rng, n_segments, steps, noise=0.0):
+    spec = random_spec(rng, n_segments, lo=0.2, hi=1.0)
+    grid = TimeGrid(2.0 * spec.total_length, steps)
+    r = exact_response(spec, grid)
+    if noise > 0.0:
+        r = Waveform(r.grid, r.values + noise * rng.standard_normal(len(r.values)))
+    rhs = r.values[(steps - np.arange(steps + 1)) * 8]  # r(T - t), as in recovery
+    return build_connector(r, float(spec.lengths[0]), grid), rhs
 
 
 def test_zero_response_zero_kernel():
@@ -55,6 +86,18 @@ def test_single_mass_kernel_closed_form():
     t = grid.times
     expected = np.outer(np.sin(2.0 * (1.0 - t)), np.sin(2.0 * (1.0 - t)))
     assert np.max(np.abs(connector.kernel - expected)) < 1e-8
+
+
+def test_kernel_is_hankel_minus_toeplitz():
+    grid = TimeGrid(1.0, 40)
+    r = Waveform(TimeGrid(2.0, 160), np.sin(3.0 * np.linspace(0.0, 2.0, 161)) + 0.1)
+    connector = build_connector(r, 0.3, grid)
+    n = grid.n_steps
+    cumulative = _cumulative_trapezoid(r.values, r.grid.dt)[::2]
+    expected = (1.0 / 0.6) * (
+        hankel(cumulative[2 * n :: -1][: n + 1], cumulative[n::-1]) - toeplitz(cumulative[: n + 1])
+    )
+    assert np.array_equal(connector.kernel, expected)
 
 
 def test_build_connector_grid_validation():
@@ -91,6 +134,41 @@ def test_kernel_positive_semidefinite(rng):
     sym = sqrt_w[:, None] * connector.kernel * sqrt_w[None, :]
     eigenvalues = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     assert eigenvalues[0] > -1e-12 * fact.singular_values[0]
+
+
+def test_factorization_matches_dense_oracle(rng):
+    for n_segments in range(2, 9):
+        for noise, threshold in ((0.0, 1e-8), (1e-6, 1e-4)):
+            connector, rhs = random_connector(rng, n_segments, 800, noise)
+            fact = ConnectorFactorization(connector, Regularization(threshold=threshold))
+            sv, rank, solve = dense_oracle(connector, threshold)
+            assert len(fact.singular_values) < len(sv)  # the truncated path ran
+            assert fact.rank == rank
+            assert np.allclose(fact.singular_values[:rank], sv[:rank], rtol=1e-10, atol=0.0)
+            expected = solve(rhs)
+            values, _ = fact.solve(rhs)
+            assert np.max(np.abs(values - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+
+def test_factorization_full_basis_limit(rng):
+    # a noise floor far above the cut leaves rank ~ n: the block would outgrow
+    # its cap, so every value comes from the full eigendecomposition
+    connector, rhs = random_connector(rng, 4, 200, noise=1e-3)
+    fact = ConnectorFactorization(connector)
+    sv, rank, solve = dense_oracle(connector, 1e-8)
+    assert len(fact.singular_values) == 201
+    assert fact.rank == rank > 150
+    assert np.allclose(fact.singular_values, sv, rtol=1e-10, atol=0.0)
+    expected = solve(rhs)
+    assert np.max(np.abs(fact.solve(rhs)[0] - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+
+def test_factorization_is_reproducible(rng):
+    connector, rhs = random_connector(rng, 5, 800)
+    first = ConnectorFactorization(connector)
+    second = ConnectorFactorization(connector)
+    assert np.array_equal(first.singular_values, second.singular_values)
+    assert np.array_equal(first.solve(rhs)[0], second.solve(rhs)[0])
 
 
 def test_numerical_rank_family(rng):
