@@ -14,20 +14,27 @@ recursion
     C f_{k+1} = (m_k (C f_k)'' - a_{k-1} C f_{k-1} - b_k C f_k) / a_k,
 
 with a_0 = 1/l_1 in the parameter line (the image recursion starts with no
-predecessor term), and l_{k+1} = 1/a_k.  All solves share one truncated
-eigendecomposition of the quadrature-weighted kernel.  Because the kernel has
-rank N-1, that decomposition is computed from a seeded randomized block range
-finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011) that only applies
-the kernel to thin blocks; it falls back to a full eigendecomposition only
-when the numerical rank is a sizeable fraction of the grid.
+predecessor term), and l_{k+1} = 1/a_k.
+
+On the grid t_i = i dt the kernel is a Hankel-minus-Toeplitz matrix in the
+2n+1 samples of P, so the connector keeps only those samples and applies the
+kernel matrix-free: one real FFT of the input, one of the output, O(n log n)
+per column.  All solves share one truncated eigendecomposition of the
+quadrature-weighted kernel.  Because the kernel has rank N-1, that
+decomposition is computed from a seeded randomized block range finder
+(Halko, Martinsson & Tropp, SIAM Review 53, 2011) that only applies the
+kernel to thin blocks.  The dense (n+1)^2 kernel is assembled only for the
+full eigendecomposition it falls back to when the numerical rank is a
+sizeable fraction of the grid, and for the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import GridError, RankError, RecoveryError, RegularizationError
 from .forward import TimeGrid, Waveform
@@ -54,21 +61,87 @@ class Regularization:
 
 @dataclass(frozen=True)
 class DiscretizedConnector:
-    """Connector kernel sampled on the control grid with trapezoid weights."""
+    """Connector on the control grid t_0..t_n, held as the 2n+1 samples
+    ``cumulative[m] = P(m dt)`` of the antiderivative of r and the scale
+    1/(2 l_1); the trapezoid weights follow from the grid.
+
+    The kernel K[i, j] = scale (P[2n-i-j] - P[|i-j|]) is never stored.  With
+    y = w x, (K y)_i = scale (conv(P, y)[2n-i] - conv(sym, y)[n+i]) for the
+    even sequence sym[k] = P[|k|], k = -n..n.  Both convolutions are exact
+    in a circular transform of length L >= 2n+1 (every index they read lies
+    within [0, 2n] or [-n, n]), so ``apply`` takes one real FFT of y and one
+    inverse: the Hankel half's index reversal is the spectrum
+    exp(-2 pi i (2n k mod L) / L) conj(P^) conj(y^), and the Toeplitz half's
+    spectrum is real because sym is even.  Both spectra are computed once,
+    here, with the scale folded in.
+    """
 
     grid: TimeGrid
-    kernel: np.ndarray
-    quad_weights: np.ndarray
+    cumulative: np.ndarray
+    scale: float
+    quad_weights: np.ndarray = field(init=False)
+    _fft_length: int = field(init=False, repr=False)
+    _hankel_spectrum: np.ndarray = field(init=False, repr=False)
+    _toeplitz_spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("kernel", "quad_weights"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        n = self.grid.n_steps
+        cumulative = np.array(self.cumulative, dtype=float)
+        if cumulative.shape != (2 * n + 1,):
+            raise GridError(
+                f"connector needs the 2n+1 = {2 * n + 1} antiderivative samples "
+                f"of a {n}-step grid, got shape {cumulative.shape}"
+            )
+        cumulative.flags.writeable = False
+        length = next_fast_len(2 * n + 1, real=True)
+        sym = np.zeros(length)
+        sym[: n + 1] = cumulative[: n + 1]
+        sym[length - n :] = cumulative[n:0:-1]
+        # 2nk is reduced mod L in integers, so exp adds the only rounding
+        shift = np.exp((-2j * np.pi / length) * ((2 * n * np.arange(length // 2 + 1)) % length))
+        weights = _trapezoid_weights(n, self.grid.dt)
+        weights.flags.writeable = False
+        for name, value in (
+            ("cumulative", cumulative),
+            ("quad_weights", weights),
+            ("_fft_length", length),
+            ("_hankel_spectrum", self.scale * shift * np.conj(rfft(cumulative, length))),
+            ("_toeplitz_spectrum", self.scale * rfft(sym).real),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """The dense (n+1)^2 kernel for the full-basis fallback and the tests:
+        a fresh array on each access; the connector keeps no copy."""
+        n = self.grid.n_steps
+        cumulative = self.cumulative
+        # c(t_i, t_j) indexes the antiderivative at 2n-i-j (Hankel part) and
+        # |i-j| (Toeplitz part); both indices are symmetric in (i, j), so the
+        # kernel is exactly symmetric and the factorization needs no
+        # symmetrization
+        hankel_part = sliding_window_view(cumulative[::-1], n + 1)
+        toeplitz_part = sliding_window_view(
+            np.concatenate((cumulative[n:0:-1], cumulative[: n + 1])), n + 1
+        )[::-1]
+        kernel = np.subtract(hankel_part, toeplitz_part)
+        kernel *= self.scale
+        return kernel
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Operator action (C f)(t_i) = sum_j kernel[i, j] w_j f_j."""
-        return self.kernel @ (self.quad_weights * values)
+        """Operator action (C f)(t_i) = sum_j kernel[i, j] w_j f_j on a vector
+        or on each column of an (n+1, k) block."""
+        weights = self.quad_weights if values.ndim == 1 else self.quad_weights[:, None]
+        return self._kernel_product(weights * values)
+
+    def _kernel_product(self, block: np.ndarray) -> np.ndarray:
+        """kernel @ block, by one forward and one inverse real FFT per column."""
+        spectrum = rfft(block.T, self._fft_length)
+        mixed = np.conj(spectrum)
+        mixed *= self._hankel_spectrum
+        spectrum *= self._toeplitz_spectrum
+        mixed -= spectrum
+        return irfft(mixed, self._fft_length)[..., : len(self.quad_weights)].T
 
     def weighted_inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.sum(self.quad_weights * u * v))
@@ -88,7 +161,9 @@ def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def build_connector(r: Waveform, l1: float, grid: TimeGrid) -> DiscretizedConnector:
-    """Assemble the kernel from a response sampled on [0, 2T].
+    """The connector of a response sampled on [0, 2T]: the antiderivative of
+    r on the control step and the FFT spectra that apply the kernel; no
+    (n+1)^2 matrix is formed.
 
     ``r`` must live on a grid spanning twice the control horizon whose step
     divides the control step; sampling r finer than the control grid drives
@@ -114,19 +189,7 @@ def build_connector(r: Waveform, l1: float, grid: TimeGrid) -> DiscretizedConnec
         )
     q = r.grid.n_steps // (2 * n)
     cumulative = _cumulative_trapezoid(r.values, r.grid.dt)[::q]
-    # c(t_i, t_j) indexes the antiderivative at 2n-i-j (Hankel part) and
-    # |i-j| (Toeplitz part); both indices are symmetric in (i, j), so the
-    # kernel is exactly symmetric and the factorization needs no
-    # symmetrization
-    hankel_part = sliding_window_view(cumulative[::-1], n + 1)
-    toeplitz_part = sliding_window_view(
-        np.concatenate((cumulative[n:0:-1], cumulative[: n + 1])), n + 1
-    )[::-1]
-    kernel = np.subtract(hankel_part, toeplitz_part)
-    kernel *= 1.0 / (2.0 * l1)
-    return DiscretizedConnector(
-        grid=grid, kernel=kernel, quad_weights=_trapezoid_weights(n, grid.dt)
-    )
+    return DiscretizedConnector(grid=grid, cumulative=cumulative, scale=1.0 / (2.0 * l1))
 
 
 class ConnectorFactorization:
@@ -144,9 +207,11 @@ class ConnectorFactorization:
     values fall below the bottom of the tie-break band,
     ``threshold / 10 * sigma_max``, so the cut and its gap lie inside the
     block.  ``singular_values`` then holds the block's Ritz values, largest
-    first.  A block that would exceed ``FULL_BASIS_FRACTION`` of the grid
-    is replaced by the exact eigendecomposition of the whole weighted
-    kernel, and ``singular_values`` holds all n+1 values.
+    first.  A block that would exceed ``FULL_BASIS_FRACTION`` of the grid,
+    or a block wider than the first with no Ritz value below that floor (the
+    rank is then near n), is replaced by the exact eigendecomposition of the
+    whole weighted kernel, assembled once for it, and ``singular_values``
+    holds all n+1 values.
     """
 
     def __init__(self, connector: DiscretizedConnector, reg: Regularization | None = None):
@@ -163,7 +228,7 @@ class ConnectorFactorization:
     def _apply_weighted(self, block: np.ndarray) -> np.ndarray:
         """D K D applied to the columns of ``block``."""
         sqrt_w = self._sqrt_w[:, None]
-        return sqrt_w * (self.connector.kernel @ (sqrt_w * block))
+        return sqrt_w * self.connector._kernel_product(sqrt_w * block)
 
     def _ritz_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         size = len(self._sqrt_w)
@@ -177,11 +242,16 @@ class ConnectorFactorization:
             ritz, coords = np.linalg.eigh(basis.T @ self._apply_weighted(basis))
             magnitude = np.abs(ritz)
             top = magnitude.max()
-            if top == 0.0 or np.count_nonzero(magnitude < floor * top) >= width // 2:
+            below = np.count_nonzero(magnitude < floor * top)
+            if top == 0.0 or below >= width // 2:
                 return ritz, basis @ coords
+            if below == 0 and width > SKETCH_BLOCK:
+                break  # the rank is at least this width: the exact eigh is cheaper
             width *= 2
-        sqrt_w = self._sqrt_w
-        return np.linalg.eigh(sqrt_w[:, None] * self.connector.kernel * sqrt_w[None, :])
+        weighted = self.connector.kernel
+        weighted *= self._sqrt_w[:, None]
+        weighted *= self._sqrt_w[None, :]
+        return np.linalg.eigh(weighted)
 
     @property
     def condition_number(self) -> float:

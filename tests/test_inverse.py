@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import hankel, toeplitz
@@ -98,6 +100,52 @@ def test_kernel_is_hankel_minus_toeplitz():
         hankel(cumulative[2 * n :: -1][: n + 1], cumulative[n::-1]) - toeplitz(cumulative[: n + 1])
     )
     assert np.array_equal(connector.kernel, expected)
+
+
+def generic_connector(rng, steps):
+    # arbitrary finite samples, not a string's response: the FFT product must
+    # reproduce the dense kernel for any antiderivative
+    r = Waveform(TimeGrid(2.0, 2 * steps), rng.standard_normal(2 * steps + 1))
+    return build_connector(r, 0.3, TimeGrid(1.0, steps))
+
+
+@pytest.mark.parametrize("steps", [4, 5, 64, 2000])
+def test_fft_apply_matches_dense_kernel(rng, steps):
+    for connector in (generic_connector(rng, steps), random_connector(rng, 5, steps)[0]):
+        kernel, w = connector.kernel, connector.quad_weights
+        for x in (rng.standard_normal(steps + 1), rng.standard_normal((steps + 1, 16))):
+            expected = kernel @ (w * x if x.ndim == 1 else w[:, None] * x)
+            got = connector.apply(x)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_fft_apply_is_self_adjoint(rng):
+    for connector in (generic_connector(rng, 2000), random_connector(rng, 5, 2000)[0]):
+        t = connector.grid.times
+        f, g = np.sin(2.0 * t) * np.exp(-t), t**2 * np.cos(t)
+        lhs = connector.weighted_inner(connector.apply(f), g)
+        rhs = connector.weighted_inner(f, connector.apply(g))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def test_recovery_memory_and_scale(rng):
+    # the connector is applied by FFT, so recovery never holds an (n+1)^2 array
+    spec = random_spec(rng, 5, lo=0.2, hi=1.0)
+    l1 = float(spec.lengths[0])
+    grid = TimeGrid(2.0 * spec.total_length, 2000)
+    r = exact_response(spec, grid)
+    tracemalloc.start()
+    try:
+        recover_string(r, l1, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (grid.n_steps + 1) ** 2 * 8 / 4
+    grid = TimeGrid(2.0 * spec.total_length, 8000)
+    result = recover_string(exact_response(spec, grid), l1, grid)
+    assert result.diagnostics.rank == 4
+    assert np.max(np.abs(result.recovered_masses - spec.masses) / spec.masses) <= 1e-5
 
 
 def test_build_connector_grid_validation():
