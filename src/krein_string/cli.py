@@ -2,8 +2,9 @@
 
 Every output file opens with a comment echoing the full configuration, and
 reruns with the same configuration produce byte-identical bodies.  Floats
-are written with shortest round-trip precision.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure, 4 I/O failure.
+are written with shortest round-trip precision (``repr``), index columns as
+ints.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
+4 I/O failure.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ class RunConfig:
 
 
 def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
+    """Rows hold plain Python ints and floats (build them with ``tolist()``),
+    so ``repr`` writes what ``_fmt`` would; an ``np.float64`` would not."""
     lines = [f"# {config.echo()}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(map(repr, row)) for row in rows]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -100,9 +102,7 @@ def _cmd_spectral(args) -> int:
     config = RunConfig("spectral", {"spec": args.spec, "out": args.out})
     spec = read_spec_file(args.spec)
     data = compute_spectral_data(build_matrices(spec))
-    rows = [
-        (k + 1, data.eigenvalues[k], data.weights[k]) for k in range(data.n_modes)
-    ]
+    rows = zip(range(1, data.n_modes + 1), data.eigenvalues.tolist(), data.weights.tolist())
     _write_csv(Path(args.out) / "spectral.csv", config, ["k", "lambda", "omega"], rows)
     return EXIT_OK
 
@@ -134,9 +134,7 @@ def _cmd_forward(args) -> int:
             control = _control_waveform(args.control, grid)
             traj = solve_forward_spectral(mats, data, control, l1)
     header = ["t"] + [f"u_{i + 1}" for i in range(mats.order)]
-    rows = [
-        (t, *traj.states[j]) for j, t in enumerate(grid.times)
-    ]
+    rows = np.column_stack([grid.times, traj.states]).tolist()
     _write_csv(Path(args.out) / "trajectory.csv", config, header, rows)
     return EXIT_OK
 
@@ -150,7 +148,7 @@ def _cmd_response(args) -> int:
     data = compute_spectral_data(build_matrices(spec))
     grid = TimeGrid(horizon=args.T, n_steps=args.steps)
     r = response_function(data, float(spec.lengths[0]), grid)
-    rows = list(zip(grid.times, r.values))
+    rows = np.column_stack([grid.times, r.values]).tolist()
     _write_csv(Path(args.out) / "response.csv", config, ["t", "r"], rows)
     return EXIT_OK
 
@@ -178,19 +176,18 @@ def _read_response_csv(path: str) -> Waveform:
 
 def _emit_recovery(out_dir: Path, config: RunConfig, result) -> None:
     diag = result.diagnostics
-    rows = []
-    for k in range(len(result.recovered_masses)):
-        rows.append(
-            (
-                k + 1,
-                result.recovered_masses[k],
-                result.recovered_b[k],
-                result.recovered_a[k],
-                result.recovered_lengths[k],
-                diag.residuals[k],
-                diag.condition_numbers[k],
-            )
-        )
+    n_masses = len(result.recovered_masses)
+    columns = np.column_stack(
+        [
+            result.recovered_masses,
+            result.recovered_b,
+            result.recovered_a,
+            result.recovered_lengths[:n_masses],
+            diag.residuals,
+            diag.condition_numbers,
+        ]
+    )
+    rows = [(k, *row) for k, row in enumerate(columns.tolist(), start=1)]
     _write_csv(
         out_dir / "recovery.csv",
         config,
@@ -199,7 +196,7 @@ def _emit_recovery(out_dir: Path, config: RunConfig, result) -> None:
     )
     with open(out_dir / "recovery.csv", "a", encoding="utf-8") as fh:
         fh.write(f"# l_N={_fmt(result.recovered_lengths[-1])}\n")
-    sv_rows = [(i + 1, s) for i, s in enumerate(diag.singular_values)]
+    sv_rows = enumerate(diag.singular_values.tolist(), start=1)
     _write_csv(out_dir / "singular_values.csv", config, ["i", "sigma_i"], sv_rows)
 
 

@@ -6,7 +6,9 @@ Two independent routes to the trajectory u^f(t):
   u^f(t) = (1/l_1) sum_k [int_0^t sin(nu_k (t-tau))/nu_k f(tau) dtau]
   phi^k / omega_k with nu_k = sqrt(|lambda_k|), trapezoid quadrature.
 * ``solve_forward_ode`` integrates M u_tt = -A u + (f/l_1, 0, ..) with a
-  classical 4th-order Runge-Kutta scheme on the first-order reformulation.
+  classical 4th-order Runge-Kutta scheme on the first-order reformulation;
+  the step is linear, so it is applied as one propagator matrix plus three
+  forcing columns.
 
 The boundary response r(t) = (1/l_1) sum_k sin(nu_k t)/(nu_k omega_k)
 satisfies (R f)(t) = int_0^t r(t-s) f(s) ds = u_1^f(t); the same discrete
@@ -175,6 +177,31 @@ def _max_frequency(mats: SystemMatrices) -> float:
     return float(np.sqrt(-lam[0]))
 
 
+def rk4_step(
+    op: np.ndarray, dt: float, y: np.ndarray, g0: np.ndarray, gh: np.ndarray, g1: np.ndarray
+) -> np.ndarray:
+    """One classical RK4 step of y' = op y + g(t), with g sampled at the
+    start, the midpoint and the end of the step."""
+    k1 = op @ y + g0
+    k2 = op @ (y + 0.5 * dt * k1) + gh
+    k3 = op @ (y + 0.5 * dt * k2) + gh
+    k4 = op @ (y + dt * k3) + g1
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_propagator(op: np.ndarray, dt: float, direction: np.ndarray):
+    """``rk4_step`` as a matrix: (P, c0, ch, c1) with
+    rk4_step(op, dt, y, f0 e, fh e, f1 e) = P y + f0 c0 + fh ch + f1 c1
+    for the forcing direction e, since the step is linear in all four."""
+    zero = np.zeros_like(direction)
+    basis = np.eye(len(direction))
+    prop = np.column_stack([rk4_step(op, dt, col, zero, zero, zero) for col in basis])
+    c0 = rk4_step(op, dt, zero, direction, zero, zero)
+    ch = rk4_step(op, dt, zero, zero, direction, zero)
+    c1 = rk4_step(op, dt, zero, zero, zero, direction)
+    return prop, c0, ch, c1
+
+
 def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajectory:
     """Independent oracle: classical RK4 on (u, u_t).
 
@@ -182,7 +209,10 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     dynamics is M u_tt = A u + (f/l_1) e_1; its modal form is exactly the
     spectral representation the other solver sums.  Control samples are
     interpolated with a cubic spline for the half-step stage values,
-    keeping the interpolation error below the scheme's own.
+    keeping the interpolation error below the scheme's own.  Each step is
+    y_{j+1} = P y_j + f_j c0 + f_{j+1/2} ch + f_{j+1} c1, the four-stage
+    step applied once to the basis and the forcing direction
+    (``rk4_propagator``); no spectral data enters.
     """
     grid = f.grid
     dt = grid.dt
@@ -203,28 +233,17 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     t = grid.times
     spline = CubicSpline(t, f.values)
     f_half = spline(t[:-1] + 0.5 * dt)
-    scale = 1.0 / (l1 * mats.masses[0])
+    direction = np.zeros(2 * d)
+    direction[d] = 1.0 / (l1 * mats.masses[0])
+    prop, c0, ch, c1 = rk4_propagator(op, dt, direction)
+    drive = (
+        np.outer(f.values[:-1], c0) + np.outer(f_half, ch) + np.outer(f.values[1:], c1)
+    )
 
-    def forcing(fval: float) -> np.ndarray:
-        g = np.zeros(2 * d)
-        g[d] = fval * scale
-        return g
-
-    states = np.zeros((grid.n_steps + 1, d))
-    vels = np.zeros((grid.n_steps + 1, d))
-    y = np.zeros(2 * d)
+    ys = np.zeros((grid.n_steps + 1, 2 * d))
     for j in range(grid.n_steps):
-        g0 = forcing(f.values[j])
-        gh = forcing(f_half[j])
-        g1 = forcing(f.values[j + 1])
-        k1 = op @ y + g0
-        k2 = op @ (y + 0.5 * dt * k1) + gh
-        k3 = op @ (y + 0.5 * dt * k2) + gh
-        k4 = op @ (y + dt * k3) + g1
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[j + 1] = y[:d]
-        vels[j + 1] = y[d:]
-    return Trajectory(grid=grid, states=states, velocities=vels)
+        ys[j + 1] = prop @ ys[j] + drive[j]
+    return Trajectory(grid=grid, states=ys[:, :d], velocities=ys[:, d:])
 
 
 def response_function(data: SpectralData, l1: float, grid: TimeGrid) -> Waveform:

@@ -81,10 +81,14 @@ def uniform_eigen(n: int) -> SpectralData:
         raise ValueError("uniform case needs n >= 2")
     k = np.arange(1, n)
     lam = -4.0 * n**2 * np.cos(k * np.pi / (2 * n)) ** 2
-    x_k = np.cos(k * np.pi / n)
+    two_x = 2.0 * -np.cos(k * np.pi / n)
+    # column j holds U_j(-cos(k pi / n)), by chebyshev_u's recurrence and association
     vectors = np.empty((n - 1, n - 1))
-    for j in range(n - 1):
-        vectors[:, j] = chebyshev_u(j, -x_k)
+    vectors[:, 0] = 1.0
+    if n > 2:
+        vectors[:, 1] = two_x
+    for j in range(2, n - 1):
+        vectors[:, j] = two_x * vectors[:, j - 1] - vectors[:, j - 2]
     weights = np.sum(vectors**2, axis=1) / n
     return SpectralData(eigenvalues=lam, vectors=vectors, weights=weights)
 

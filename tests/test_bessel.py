@@ -82,6 +82,29 @@ def test_grid_matches_scalar():
         assert val == pytest.approx(bessel_j(2, float(x)), abs=1e-13)
 
 
+def test_hankel_branch_from_twenty():
+    # the large-argument branch takes x > 20 where 4 n^2 < x / 10
+    for n in range(8):
+        xs = np.linspace(max(20.0, 40.0 * n * n), 2000.0, 4001)
+        ref = scipy.special.jv(n, xs)
+        assert np.max(np.abs(bessel_j_grid(n, xs) - ref)) < 5e-15
+        scalar = np.array([bessel_j(n, float(x)) for x in xs[::40]])
+        assert np.max(np.abs(scalar - ref[::40])) < 5e-15
+
+
+def test_grid_matches_scalar_across_twenty():
+    xs = np.array([16.5, 18.0, 19.5, 19.999, 20.0, 20.001, 20.5, 22.0])
+    for n in (0, 1, 2):
+        got = bessel_j_grid(n, xs)
+        scalar = np.array([bessel_j(n, float(x)) for x in xs])
+        assert np.max(np.abs(got - scalar)) < 5e-15
+    # both switch to the Hankel branch above x = 20, where their sums match
+    # term for term; Miller's scalar and bucket sweeps round differently
+    hankel = xs > 20.0
+    scalar = np.array([bessel_j(0, float(x)) for x in xs[hankel]])
+    assert np.array_equal(bessel_j_grid(0, xs)[hankel], scalar)
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         bessel_j(-1, 1.0)

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from krein_string.cli import main
+from krein_string import (
+    TimeGrid,
+    Waveform,
+    build_matrices,
+    compute_spectral_data,
+    read_spec_file,
+    response_function,
+    solve_forward_delta,
+    solve_forward_ode,
+    solve_forward_spectral,
+)
+from krein_string.cli import RunConfig, _fmt, _write_csv, main
+from krein_string.uniform import parse_test_function
 
 SPEC_TEXT = "lengths=0.2,0.3,0.5\nmasses=1.0,2.0\n"
 
@@ -142,3 +154,87 @@ def test_byte_identical_reruns(tmp_path, spec_file):
     assert run(*args) == 0
     for name, body in first.items():
         assert (out / name).read_bytes() == body
+
+
+# ---------------------------------------------------------------------------
+# CSV contract: floats in shortest round-trip form, index columns as ints.
+
+INDEX_COLUMNS = ("k", "i", "N")
+
+
+def csv_fields(path):
+    """Header and rows of a CLI CSV as strings, after checking every field's
+    form; comment lines (the config echo, the l_N trailer) are skipped."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# krein-string ")
+    header = lines[1].split(",")
+    rows = [line.split(",") for line in lines[2:] if not line.startswith("#")]
+    assert rows
+    for row in rows:
+        assert len(row) == len(header)
+        for name, field in zip(header, row):
+            if name in INDEX_COLUMNS:
+                assert field == str(int(field)), (path.name, name, field)
+            else:
+                assert field == repr(float(field)), (path.name, name, field)
+    return header, rows
+
+
+def csv_floats(path):
+    _, rows = csv_fields(path)
+    return np.array([[float(field) for field in row] for row in rows])
+
+
+def test_write_csv_writes_what_fmt_writes(tmp_path):
+    row = [7, -0.0, float("inf"), float("nan"), 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+    path = tmp_path / "unit.csv"
+    _write_csv(path, RunConfig("unit"), [f"c{j}" for j in range(len(row))], [row])
+    written = path.read_text(encoding="utf-8").splitlines()[2].split(",")
+    assert written == [_fmt(v) for v in row]
+    assert written[1:4] == ["-0.0", "inf", "nan"]
+
+
+def test_forward_and_response_columns_are_the_library_arrays(tmp_path, spec_file):
+    spec = read_spec_file(spec_file)
+    mats = build_matrices(spec)
+    data = compute_spectral_data(mats)
+    l1 = float(spec.lengths[0])
+    grid = TimeGrid(1.0, 800)
+    control = Waveform(grid, parse_test_function("gauss:0.3,0.1")(grid.times))
+    common = ["--spec", spec_file, "--T", "1.0", "--steps", "800"]
+    gauss = ["--control", "gauss:0.3,0.1"]
+    cases = {
+        "spectral": (gauss, solve_forward_spectral(mats, data, control, l1)),
+        "delta": ([], solve_forward_delta(data, l1, grid)),
+        "ode": ([*gauss, "--solver", "ode"], solve_forward_ode(mats, control, l1)),
+    }
+    for name, (extra, traj) in cases.items():
+        out = tmp_path / name
+        assert run("forward", *common, *extra, "--out", str(out)) == 0
+        got = csv_floats(out / "trajectory.csv")
+        assert np.array_equal(got, np.column_stack([grid.times, traj.states])), name
+
+    out = tmp_path / "response"
+    assert run("response", "--spec", spec_file, "--T", "4.0", "--steps", "2000", "--out", str(out)) == 0
+    fine = TimeGrid(4.0, 2000)
+    r = response_function(data, l1, fine)
+    assert np.array_equal(csv_floats(out / "response.csv"), np.column_stack([fine.times, r.values]))
+
+    out = tmp_path / "spectral"
+    assert run("spectral", "--spec", spec_file, "--out", str(out)) == 0
+    k = np.arange(1, data.n_modes + 1)
+    expected = np.column_stack([k, data.eigenvalues, data.weights])
+    assert np.array_equal(csv_floats(out / "spectral.csv"), expected)
+
+
+def test_every_command_writes_the_csv_contract(tmp_path, spec_file):
+    out = tmp_path / "out"
+    assert run("roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "1200", "--out", str(out)) == 0
+    for name in ("recovery.csv", "singular_values.csv"):
+        csv_fields(out / name)
+    sweeps = {"1": [], "2": ["--xi", "gauss:0.0,0.3"], "3": ["--xi", "gauss:0.0,0.3"], "4": ["--k", "2"]}
+    for prop, extra in sweeps.items():
+        assert run("uniform-sweep", "--prop", prop, "--N", "8,16", *extra, "--out", str(out)) == 0
+        header, rows = csv_fields(out / f"uniform_prop{prop}.csv")
+        assert header == ["N", "target", "value", "abs_error"]
+        assert [row[0] for row in rows] == ["8", "16"]

@@ -20,7 +20,7 @@ from krein_string import (
     uniform_spec,
 )
 from krein_string.bessel import bessel_j_grid
-from krein_string.forward import causal_convolution
+from krein_string.forward import causal_convolution, rk4_propagator, rk4_step
 
 from conftest import random_spec
 
@@ -161,6 +161,39 @@ def test_ode_heaviside_closed_form():
     f = Waveform(grid, np.ones_like(grid.times))
     traj = solve_forward_ode(SINGLE, f, 0.5)
     assert np.max(np.abs(traj.states[:, 0] - 0.5 * (1.0 - np.cos(2.0 * grid.times)))) < 1e-10
+
+
+def test_rk4_propagator_matches_four_stage_step(rng):
+    # the step is linear in (y, g0, gh, g1): one matrix and three columns
+    spec = random_spec(rng, 6)
+    mats = build_matrices(spec)
+    d = mats.order
+    op = np.zeros((2 * d, 2 * d))
+    op[:d, d:] = np.eye(d)
+    op[d:, :d] = mats.stiffness / mats.masses[:, None]
+    dt = 0.5 / float(compute_spectral_data(mats).frequencies.max())
+    direction = np.zeros(2 * d)
+    direction[d] = 1.0 / (spec.lengths[0] * spec.masses[0])
+    prop, c0, ch, c1 = rk4_propagator(op, dt, direction)
+    for _ in range(50):
+        y = rng.standard_normal(2 * d)
+        f0, fh, f1 = rng.standard_normal(3)
+        staged = rk4_step(op, dt, y, f0 * direction, fh * direction, f1 * direction)
+        folded = prop @ y + f0 * c0 + fh * ch + f1 * c1
+        assert np.max(np.abs(folded - staged)) <= 1e-14 * np.max(np.abs(y))
+
+
+def test_ode_fourth_order():
+    # single mass, f = sin t: u'' = -4u + 2 sin t from rest, so
+    # u = (2/3) sin t - (1/3) sin 2t; halving dt divides the error by ~16
+    errors = []
+    for steps in (50, 100):
+        grid = TimeGrid(2.0, steps)
+        t = grid.times
+        traj = solve_forward_ode(SINGLE, Waveform(grid, np.sin(t)), 0.5)
+        exact = (2.0 / 3.0) * np.sin(t) - (1.0 / 3.0) * np.sin(2.0 * t)
+        errors.append(np.max(np.abs(traj.states[:, 0] - exact)))
+    assert 12.0 <= errors[0] / errors[1] <= 20.0
 
 
 def test_mollified_delta_converges_to_impulse_response():

@@ -71,6 +71,14 @@ def test_uniform_eigen_closed_forms():
     assert np.allclose(data.weights, 1.0 / (2.0 * np.sin(k * np.pi / n) ** 2), rtol=1e-12)
 
 
+def test_uniform_eigen_table_is_chebyshev_u():
+    # one recurrence pass over the columns, with chebyshev_u's association
+    for n in (2, 3, 8, 64, 256):
+        x_k = np.cos(np.arange(1, n) * np.pi / n)
+        table = np.column_stack([chebyshev_u(j, -x_k) for j in range(n - 1)])
+        assert np.array_equal(uniform_eigen(n).vectors, table)
+
+
 def test_uniform_eigen_matches_generic_solver():
     for n in (2, 5, 17, 50):
         closed = uniform_eigen(n)
