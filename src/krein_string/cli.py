@@ -293,9 +293,7 @@ def _cmd_uniform_sweep(args) -> int:
             traj = solve_forward_delta(data, 1.0 / n, grid)
             worst = 0.0
             for j in (1, max(n // 2, 1)):
-                closed = np.array(
-                    [uniform.delta_solution(n, j, t) for t in grid.times[1:]]
-                )
+                closed = uniform.delta_solution(n, j, grid.times[1:])
                 worst = max(worst, float(np.max(np.abs(closed - traj.states[1:, j - 1]))))
             rows.append((n, 0.0, worst, worst))
     elif args.prop in (2, 3):

@@ -23,7 +23,8 @@ class StabilityError(KreinStringError, RuntimeError):
 
 
 class DegenerateSpectrumError(KreinStringError, RuntimeError):
-    """Near-multiple eigenvalues beyond tolerance; carries a conditioning report."""
+    """Eigenvalues closer than ``spectral.GAP_TOL`` relative to the largest;
+    the message names the pair and its gap."""
 
 
 class RankError(KreinStringError, RuntimeError):

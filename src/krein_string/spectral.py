@@ -1,4 +1,4 @@
-"""Spectral data of the string: orthogonal polynomials, eigenvalues, weights.
+"""Spectral data of the string: orthogonal polynomials, eigenvalues, modes.
 
 The polynomials phi_n(lam) solve the three-term Cauchy problem
 
@@ -6,11 +6,12 @@ The polynomials phi_n(lam) solve the three-term Cauchy problem
     phi_0 = 0, phi_1 = 1,
 
 and lam is an eigenvalue of A phi = lam M phi exactly when the terminal
-value phi_N(lam) vanishes.  Eigenvalues are computed through the symmetric
-reduction M^{-1/2} A M^{-1/2} and a tridiagonal eigensolver; eigenvectors
-are mapped back and rescaled to first component one.  The weights
-omega_k = (M phi^k, phi^k) define the step spectral function
-mu(lam) = sum_{lam_k < lam} 1/omega_k.
+value phi_N(lam) vanishes.  Eigenpairs come from the symmetric reduction
+M^{-1/2} A M^{-1/2} and a tridiagonal eigensolver and are kept as
+mass-orthonormal modes v_k with first component v_1k >= 0.  The eigenvector
+with phi_1 = 1 is v_k / v_1k, so omega_k = (M phi^k, phi^k) = 1/v_1k^2 and
+mu(lam) = sum_{lam_k < lam} v_1k^2; nothing divides by v_1k, and a mode the
+boundary cannot see (v_1k = 0) has weight ``inf``.
 """
 
 from __future__ import annotations
@@ -27,20 +28,17 @@ from .model import SystemMatrices
 # the finite string always has simple spectrum, so this flags bad scaling.
 GAP_TOL = 1e-10
 
-RESCALE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (ascending, all negative), eigenvectors with phi_1 = 1
-    stored as rows of ``vectors``, and positive weights omega_k."""
+    """Eigenvalues (ascending, all negative) and mass-orthonormal modes, one
+    per row of ``modes``, signed so that the first component is >= 0."""
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
-    weights: np.ndarray
+    modes: np.ndarray
 
     def __post_init__(self):
-        for name in ("eigenvalues", "vectors", "weights"):
+        for name in ("eigenvalues", "modes"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -53,6 +51,18 @@ class SpectralData:
     def frequencies(self) -> np.ndarray:
         """Modal frequencies sqrt(|lambda_k|)."""
         return np.sqrt(-self.eigenvalues)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """omega_k = (M phi^k, phi^k) = 1/v_1k^2; ``inf`` where v_1k = 0."""
+        with np.errstate(divide="ignore"):
+            return 1.0 / self.modes[:, 0] ** 2
+
+
+def symmetric_reduction(mats: SystemMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the tridiagonal M^{-1/2} A M^{-1/2}."""
+    sqrt_m = np.sqrt(mats.masses)
+    return mats.diag / mats.masses, mats.off_diag / (sqrt_m[:-1] * sqrt_m[1:])
 
 
 def evaluate_polynomials(mats: SystemMatrices, lam: float) -> np.ndarray:
@@ -77,12 +87,8 @@ def evaluate_polynomials(mats: SystemMatrices, lam: float) -> np.ndarray:
 
 
 def compute_spectral_data(mats: SystemMatrices) -> SpectralData:
-    """Eigenvalues, normalized eigenvectors, and weights of A phi = lam M phi."""
-    m = mats.masses
-    sqrt_m = np.sqrt(m)
-    d = mats.diag / m
-    e = mats.off_diag / (sqrt_m[:-1] * sqrt_m[1:]) if mats.order > 1 else np.empty(0)
-    lam, sym_vecs = eigh_tridiagonal(d, e)
+    """Eigenvalues and mass-orthonormal modes of A phi = lam M phi."""
+    lam, sym_vecs = eigh_tridiagonal(*symmetric_reduction(mats))
 
     if mats.order > 1:
         gaps = np.diff(lam) / np.max(np.abs(lam))
@@ -94,22 +100,11 @@ def compute_spectral_data(mats: SystemMatrices) -> SpectralData:
                 f"(lambda={lam[worst]:.6e}, {lam[worst + 1]:.6e})"
             )
 
-    vecs = sym_vecs / sqrt_m[:, None]
-    first = vecs[0, :]
-    if np.any(np.abs(first) < RESCALE_TOL):
-        bad = int(np.argmin(np.abs(first)))
-        raise DegenerateSpectrumError(
-            f"eigenvector {bad + 1} has first component {first[bad]:.3e}; "
-            "cannot normalize to phi_1 = 1"
-        )
-    vecs = vecs / first
-    weights = np.sum(m[:, None] * vecs**2, axis=0)
-    return SpectralData(eigenvalues=lam, vectors=vecs.T, weights=weights)
+    modes = sym_vecs.T / np.sqrt(mats.masses)
+    modes[modes[:, 0] < 0.0] *= -1.0
+    return SpectralData(eigenvalues=lam, modes=modes)
 
 
 def spectral_function(data: SpectralData, lam: float) -> float:
     """Right-continuous step function mu(lam) = sum_{lam_k < lam} 1/omega_k."""
-    below = data.eigenvalues < lam
-    if not np.any(below):
-        return 0.0
-    return float(np.sum(1.0 / data.weights[below]))
+    return float(np.sum(data.modes[data.eigenvalues < lam, 0] ** 2))

@@ -74,8 +74,8 @@ def uniform_eigen(n: int) -> SpectralData:
     """Closed-form spectral data of the uniform string.
 
     lambda_k = -4 n^2 cos^2(k pi / 2n) ascending in k, eigenvectors
-    phi^k_j = U_{j-1}(-cos(k pi / n)) (first component one), weights from
-    the definition (M phi, phi).
+    phi^k_j = U_{j-1}(-cos(k pi / n)) (first component one), scaled to modes
+    by 1/sqrt(omega_k) with omega_k = (M phi^k, phi^k) from the definition.
     """
     if n < 2:
         raise ValueError("uniform case needs n >= 2")
@@ -83,27 +83,30 @@ def uniform_eigen(n: int) -> SpectralData:
     lam = -4.0 * n**2 * np.cos(k * np.pi / (2 * n)) ** 2
     two_x = 2.0 * -np.cos(k * np.pi / n)
     # column j holds U_j(-cos(k pi / n)), by chebyshev_u's recurrence and association
-    vectors = np.empty((n - 1, n - 1))
-    vectors[:, 0] = 1.0
+    table = np.empty((n - 1, n - 1))
+    table[:, 0] = 1.0
     if n > 2:
-        vectors[:, 1] = two_x
+        table[:, 1] = two_x
     for j in range(2, n - 1):
-        vectors[:, j] = two_x * vectors[:, j - 1] - vectors[:, j - 2]
-    weights = np.sum(vectors**2, axis=1) / n
-    return SpectralData(eigenvalues=lam, vectors=vectors, weights=weights)
+        table[:, j] = two_x * table[:, j - 1] - table[:, j - 2]
+    weights = np.sum(table**2, axis=1, keepdims=True) / n
+    return SpectralData(eigenvalues=lam, modes=table / np.sqrt(weights))
 
 
-def delta_solution(n: int, j: int, t: float) -> float:
-    """Semi-infinite-chain impulse component (2j/t) J_{2j}(2nt).
+def delta_solution(n: int, j: int, t):
+    """Semi-infinite-chain impulse component (2j/t) J_{2j}(2nt) at a positive
+    time, or at an array of them in one ``bessel_j_grid`` call.
 
     The n-segment string's component differs from it by the image terms
     sum_{m != 0} g_{j+2mn}(t), where g_k(t) = (2k/t) J_{2|k|}(2nt).
     """
     if not 1 <= j <= n - 1:
         raise ValueError(f"component index {j} outside 1..{n - 1}")
-    if t <= 0.0:
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(times <= 0.0):
         raise ValueError("t must be positive")
-    return 2.0 * j / t * bessel_j(2 * j, 2.0 * n * t)
+    values = 2.0 * j / times * bessel_j_grid(2 * j, 2.0 * n * times)
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 def response_uniform(n: int, t: float) -> float:

@@ -10,6 +10,7 @@ from krein_string import (
     apply_response_operator,
     build_matrices,
     check_integral_equation,
+    chebyshev_u,
     compute_spectral_data,
     continuous_solution,
     mollified_delta,
@@ -17,10 +18,13 @@ from krein_string import (
     solve_forward_delta,
     solve_forward_ode,
     solve_forward_spectral,
+    uniform_eigen,
     uniform_spec,
 )
 from krein_string.bessel import bessel_j_grid
 from krein_string.forward import causal_convolution, rk4_propagator, rk4_step
+
+from scipy.linalg import eigh_tridiagonal
 
 from conftest import random_spec
 
@@ -273,15 +277,135 @@ def test_integral_equation_residual_second_order(rng):
 
 
 def test_causal_convolution_against_dense_quadrature(rng):
-    # trapezoid convolution equals the O(n^2) reference sum
-    n = 120
+    # trapezoid convolution equals the O(n^2) reference sum, for one kernel
+    # and for a 2-D kernel (one per column), on the direct and the FFT path
     dt = 0.01
-    kernel = rng.standard_normal(n + 1)
-    values = rng.standard_normal(n + 1)
-    fast = causal_convolution(kernel, values, dt)
-    slow = np.zeros(n + 1)
-    for j in range(1, n + 1):
-        w = np.full(j + 1, dt)
-        w[0] = w[-1] = 0.5 * dt
-        slow[j] = np.sum(w * kernel[j::-1] * values[: j + 1])
-    assert np.max(np.abs(fast - slow)) < 1e-12
+    for shape in ((121,), (121, 3), (701, 3)):
+        n = shape[0] - 1
+        kernel = rng.standard_normal(shape)
+        values = rng.standard_normal(n + 1)
+        fast = causal_convolution(kernel, values, dt)
+        slow = np.zeros(shape)
+        for j in range(1, n + 1):
+            w = np.full(j + 1, dt)
+            w[0] = w[-1] = 0.5 * dt
+            slow[j] = np.sum(w * values[: j + 1] * kernel[j::-1].T, axis=-1)
+        assert np.max(np.abs(fast - slow)) < 1e-12, shape
+
+
+# ---------------------------------------------------------------------------
+# The per-mode sums the modal kernel replaced, kept as a reference.
+
+
+def phi_normalized_spectral(mats):
+    """Eigenvalues, eigenvectors scaled to phi_1 = 1 (rows) and weights
+    omega_k = (M phi^k, phi^k), by dividing each eigenvector by its first
+    component."""
+    m = mats.masses
+    sqrt_m = np.sqrt(m)
+    lam, sym = eigh_tridiagonal(mats.diag / m, mats.off_diag / (sqrt_m[:-1] * sqrt_m[1:]))
+    vecs = sym / sqrt_m[:, None]
+    vecs = vecs / vecs[0, :]
+    return lam, vecs.T, np.sum(m[:, None] * vecs**2, axis=0)
+
+
+def chebyshev_spectral(n):
+    """The uniform chain's eigenvalues, phi^k_j = U_{j-1}(-cos(k pi/n)) and
+    weights, from the closed forms."""
+    x_k = np.cos(np.arange(1, n) * np.pi / n)
+    lam = -4.0 * n**2 * np.cos(np.arange(1, n) * np.pi / (2 * n)) ** 2
+    phi = np.column_stack([chebyshev_u(j, -x_k) for j in range(n - 1)])
+    return lam, phi, np.sum(phi**2, axis=1) / n
+
+
+def per_mode_sums(lam, phi, omega, l1, f):
+    """Impulse trajectory, control-driven trajectory and response, each a sum
+    over modes of sin(nu_k t)/nu_k phi^k/omega_k, one mode per iteration."""
+    grid = f.grid
+    t = grid.times
+    nu = np.sqrt(-lam)
+    delta = np.zeros((len(t), phi.shape[1]))
+    driven = np.zeros_like(delta)
+    response = np.zeros(len(t))
+    for k in range(len(lam)):
+        kernel = np.sin(nu[k] * t) / nu[k]
+        delta += np.outer(kernel, phi[k] / omega[k])
+        driven += np.outer(causal_convolution(kernel, f.values, grid.dt), phi[k] / omega[k])
+        response += kernel / omega[k]
+    driven[0] = 0.0
+    return delta / l1, driven / l1, response / l1
+
+
+def test_modal_kernel_matches_per_mode_sums(rng):
+    # random strings on the direct (400 steps) and the FFT (1000 steps)
+    # convolution path, and the uniform chain at N = 256 (2048 steps)
+    cases = []
+    for steps in (400, 1000, 400, 1000, 400, 1000):
+        spec = random_spec(rng, int(rng.integers(2, 25)))
+        mats = build_matrices(spec)
+        reference = phi_normalized_spectral(mats)
+        cases.append((mats, compute_spectral_data(mats), reference, float(spec.lengths[0]), steps))
+    n = 256
+    cases.append((build_matrices(uniform_spec(n)), uniform_eigen(n), chebyshev_spectral(n), 1.0 / n, 0))
+    for mats, data, reference, l1, steps in cases:
+        grid = TimeGrid(1.0, max(steps, int(np.ceil(4.0 * data.frequencies.max()))))
+        f = smooth_control(grid)
+        delta, driven, response = per_mode_sums(*reference, l1, f)
+        pairs = (
+            (solve_forward_delta(data, l1, grid).states, delta),
+            (solve_forward_spectral(mats, data, f, l1).states, driven),
+            (response_function(data, l1, grid).values, response),
+        )
+        for got, want in pairs:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), mats.order
+
+
+# ---------------------------------------------------------------------------
+# Strings with modes the boundary barely or never sees.
+
+
+def faint_mode_strings():
+    """A 24-segment string on [0.2, 1] whose smallest |v_1k| is below 1e-12,
+    and a disorder-0.3 string at N = 128 with a mode whose first component
+    is exactly zero in double precision."""
+    rng = np.random.default_rng(0)
+    faint = StringSpec(rng.uniform(0.2, 1.0, 24), rng.uniform(0.2, 1.0, 23))
+    rng = np.random.default_rng(1)
+    n = 128
+    disordered = StringSpec(
+        (1.0 + 0.3 * rng.uniform(-1.0, 1.0, n)) / n,
+        (1.0 + 0.3 * rng.uniform(-1.0, 1.0, n - 1)) / n,
+    )
+    return faint, disordered
+
+
+def test_strings_with_invisible_modes():
+    faint, disordered = faint_mode_strings()
+    for spec in (faint, disordered):
+        mats = build_matrices(spec)
+        data = compute_spectral_data(mats)
+        first = data.modes[:, 0]
+        if spec is faint:
+            assert np.min(np.abs(first)) < 1e-12
+        else:
+            assert np.any(first == 0.0)
+        assert np.all(np.isfinite(data.eigenvalues)) and np.all(np.isfinite(data.modes))
+        assert np.array_equal(np.isinf(data.weights), first == 0.0)
+        gram = data.modes @ (spec.masses[:, None] * data.modes.T)
+        assert np.max(np.abs(gram - np.eye(data.n_modes))) <= 1e-12
+        assert np.all(first >= 0.0)
+
+        l1 = float(spec.lengths[0])
+        # nu_max * dt = 0.00625: at criterion 1's 0.0125 the spectral
+        # solver's O(dt^2) trapezoid error alone is 1.8e-6 on the 128-mass
+        # string (it falls fourfold per halving of dt; RK4's is far smaller)
+        horizon = 0.5
+        grid = TimeGrid(horizon, int(np.ceil(160.0 * data.frequencies.max() * horizon)))
+        f = smooth_control(grid)
+        spectral = solve_forward_spectral(mats, data, f, l1)
+        stepped = solve_forward_ode(mats, f, l1)
+        delta = solve_forward_delta(data, l1, grid)
+        r = response_function(data, l1, grid)
+        for values in (spectral.states, stepped.states, delta.states, r.values):
+            assert np.all(np.isfinite(values))
+        assert np.max(np.abs(spectral.states - stepped.states)) <= 1e-6

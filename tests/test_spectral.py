@@ -37,7 +37,7 @@ def test_spectral_data_single_mass():
     data = compute_spectral_data(SINGLE)
     assert data.eigenvalues == pytest.approx([-4.0])
     assert data.weights == pytest.approx([1.0])
-    assert np.allclose(data.vectors, [[1.0]])
+    assert np.allclose(data.modes, [[1.0]])
 
 
 def test_spectral_data_uniform_two():
@@ -61,8 +61,8 @@ def test_generalized_eigen_residual(rng):
         assert np.all(np.diff(data.eigenvalues) > 0.0)
         assert np.all(data.weights > 0.0)
         for k in range(data.n_modes):
-            residual = mats.stiffness @ data.vectors[k] - data.eigenvalues[k] * (
-                mats.masses * data.vectors[k]
+            residual = mats.stiffness @ data.modes[k] - data.eigenvalues[k] * (
+                mats.masses * data.modes[k]
             )
             assert np.max(np.abs(residual)) < 1e-9 * max(1.0, abs(data.eigenvalues[k]))
 
@@ -71,7 +71,7 @@ def test_mass_orthogonality(rng):
     for _ in range(5):
         spec = random_spec(rng, 7)
         data = compute_spectral_data(build_matrices(spec))
-        gram = data.vectors @ np.diag(spec.masses) @ data.vectors.T
+        gram = data.modes @ np.diag(spec.masses) @ data.modes.T
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-9 * np.max(np.diag(gram))
 

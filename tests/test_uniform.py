@@ -72,11 +72,13 @@ def test_uniform_eigen_closed_forms():
 
 
 def test_uniform_eigen_table_is_chebyshev_u():
-    # one recurrence pass over the columns, with chebyshev_u's association
+    # one recurrence pass over the columns, with chebyshev_u's association,
+    # then each row scaled by 1/sqrt(omega_k) with omega_k from the definition
     for n in (2, 3, 8, 64, 256):
         x_k = np.cos(np.arange(1, n) * np.pi / n)
         table = np.column_stack([chebyshev_u(j, -x_k) for j in range(n - 1)])
-        assert np.array_equal(uniform_eigen(n).vectors, table)
+        weights = np.sum(table**2, axis=1, keepdims=True) / n
+        assert np.array_equal(uniform_eigen(n).modes, table / np.sqrt(weights))
 
 
 def test_uniform_eigen_matches_generic_solver():
@@ -85,20 +87,25 @@ def test_uniform_eigen_matches_generic_solver():
         generic = compute_spectral_data(build_matrices(uniform_spec(n)))
         assert np.allclose(closed.eigenvalues, generic.eigenvalues, rtol=1e-9)
         assert np.allclose(closed.weights, generic.weights, rtol=1e-9)
-        assert np.allclose(closed.vectors, generic.vectors, rtol=1e-7, atol=1e-9)
+        assert np.allclose(closed.modes, generic.modes, rtol=1e-7, atol=1e-9)
 
 
 def test_delta_solution_forms():
-    n, t = 8, 0.37
-    for j in (1, 4, 7):
-        direct = delta_solution(n, j, t)
-        x = 2.0 * n * t
-        alt = n * (scipy.special.jv(2 * j - 1, x) + scipy.special.jv(2 * j + 1, x))
-        assert direct == pytest.approx(alt, abs=1e-12)
+    # at one time (a float back) and at an array of times (an array back)
+    n = 8
+    for t in (0.37, np.linspace(0.01, 3.0, 300)):
+        for j in (1, 4, 7):
+            direct = delta_solution(n, j, t)
+            x = 2.0 * n * np.asarray(t)
+            alt = n * (scipy.special.jv(2 * j - 1, x) + scipy.special.jv(2 * j + 1, x))
+            assert isinstance(direct, float) == (np.ndim(t) == 0)
+            assert np.max(np.abs(direct - alt)) <= 1e-12
     with pytest.raises(ValueError):
         delta_solution(8, 8, 0.5)
     with pytest.raises(ValueError):
         delta_solution(8, 1, 0.0)
+    with pytest.raises(ValueError):
+        delta_solution(8, 1, np.array([0.5, 0.0]))
 
 
 def test_delta_solution_small_time_limit():
