@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import krein_string
 from krein_string import (
     TimeGrid,
     Waveform,
@@ -154,6 +160,21 @@ def test_byte_identical_reruns(tmp_path, spec_file):
     assert run(*args) == 0
     for name, body in first.items():
         assert (out / name).read_bytes() == body
+
+
+def test_repeated_main_calls_keep_no_state(tmp_path, spec_file):
+    # main() reuses one parser per process; a noisy call must leave nothing
+    # behind for the next call, which a fresh interpreter is compared with
+    out = tmp_path / "out"
+    args = ["roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "900", "--out", str(out)]
+    assert run(*args, "--noise", "1e-6") == 0
+    assert run(*args) == 0
+    in_process = {name: (out / name).read_bytes() for name in ("recovery.csv", "singular_values.csv")}
+    env = dict(os.environ, PYTHONPATH=str(Path(krein_string.__file__).parents[1]))
+    script = "import sys; from krein_string.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", script, *args], check=True, env=env, capture_output=True)
+    for name, body in in_process.items():
+        assert (out / name).read_bytes() == body, name
 
 
 # ---------------------------------------------------------------------------

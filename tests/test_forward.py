@@ -338,17 +338,27 @@ def per_mode_sums(lam, phi, omega, l1, f):
 
 def test_modal_kernel_matches_per_mode_sums(rng):
     # random strings on the direct (400 steps) and the FFT (1000 steps)
-    # convolution path, and the uniform chain at N = 256 (2048 steps)
+    # convolution path, the uniform chain at N = 256 (2048 steps), and a
+    # roundtrip-shaped fine grid: 32001 samples on [0, 2T] with nu_max 2T = 1e3
+    def unit_grid(data, steps):
+        return TimeGrid(1.0, max(steps, int(np.ceil(4.0 * data.frequencies.max()))))
+
     cases = []
     for steps in (400, 1000, 400, 1000, 400, 1000):
         spec = random_spec(rng, int(rng.integers(2, 25)))
         mats = build_matrices(spec)
+        data = compute_spectral_data(mats)
         reference = phi_normalized_spectral(mats)
-        cases.append((mats, compute_spectral_data(mats), reference, float(spec.lengths[0]), steps))
+        cases.append((mats, data, reference, float(spec.lengths[0]), unit_grid(data, steps)))
     n = 256
-    cases.append((build_matrices(uniform_spec(n)), uniform_eigen(n), chebyshev_spectral(n), 1.0 / n, 0))
-    for mats, data, reference, l1, steps in cases:
-        grid = TimeGrid(1.0, max(steps, int(np.ceil(4.0 * data.frequencies.max()))))
+    data = uniform_eigen(n)
+    cases.append((build_matrices(uniform_spec(n)), data, chebyshev_spectral(n), 1.0 / n, unit_grid(data, 0)))
+    spec = random_spec(rng, 12)
+    mats = build_matrices(spec)
+    data = compute_spectral_data(mats)
+    long_grid = TimeGrid(1e3 / data.frequencies.max(), 32000)
+    cases.append((mats, data, phi_normalized_spectral(mats), float(spec.lengths[0]), long_grid))
+    for mats, data, reference, l1, grid in cases:
         f = smooth_control(grid)
         delta, driven, response = per_mode_sums(*reference, l1, f)
         pairs = (
