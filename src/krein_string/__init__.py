@@ -52,7 +52,6 @@ from .inverse import (
     RecoveryResult,
     Regularization,
     build_connector,
-    numerical_rank,
     recover_string,
     second_derivative,
     solve_krein,

@@ -23,8 +23,12 @@ per column.  All solves share one truncated eigendecomposition of the
 quadrature-weighted kernel.  Because the kernel has rank N-1, that
 decomposition is computed from a seeded randomized block range finder
 (Halko, Martinsson & Tropp, SIAM Review 53, 2011) that only applies the
-kernel to thin blocks.  The dense (n+1)^2 kernel is assembled only for the
-full eigendecomposition it falls back to when the numerical rank is a
+kernel to thin blocks.  The range finder is blocked and incremental
+(Martinsson & Voronin, SIAM J. Sci. Comput. 38, 2016): when its basis is too
+narrow to hold the rank cut, new Gaussian columns are sketched against it,
+orthogonalized to it twice, and appended, and the kernel is never applied
+to the old columns again.  The dense (n+1)^2 kernel is assembled only for
+the full eigendecomposition it falls back to when the numerical rank is a
 sizeable fraction of the grid, and for the tests.
 """
 
@@ -201,17 +205,22 @@ class ConnectorFactorization:
     ``reg.threshold * sigma_max`` with the cut refined to the largest
     relative gap when values straddle the threshold.
 
-    D K D is applied implicitly to seeded Gaussian blocks: each block gets
-    ``SKETCH_POWER_PASSES`` power passes, re-orthonormalized after each, and
-    a Rayleigh-Ritz step.  The block doubles until at least half of its Ritz
-    values fall below the bottom of the tie-break band,
-    ``threshold / 10 * sigma_max``, so the cut and its gap lie inside the
-    block.  ``singular_values`` then holds the block's Ritz values, largest
-    first.  A block that would exceed ``FULL_BASIS_FRACTION`` of the grid,
-    or a block wider than the first with no Ritz value below that floor (the
-    rank is then near n), is replaced by the exact eigendecomposition of the
-    whole weighted kernel, assembled once for it, and ``singular_values``
-    holds all n+1 values.
+    D K D is applied implicitly to a seeded Gaussian block of
+    ``SKETCH_BLOCK`` columns: it gets ``SKETCH_POWER_PASSES`` power passes,
+    re-orthonormalized after each, and a Rayleigh-Ritz step.  The basis
+    grows until at least half of its Ritz values fall below the bottom of
+    the tie-break band, ``threshold / 10 * sigma_max``, so the cut and its
+    gap lie inside it.  Each growth doubles the width (16, 32, 64, ...):
+    as many new Gaussian columns as the basis holds, drawn from the same
+    seeded stream, get the same apply and power passes, and after every
+    apply they are re-orthogonalized against the basis by projecting, QR,
+    projecting and QR again.  The basis and its image D K D Q are kept, so
+    Rayleigh-Ritz on the grown basis applies the kernel to the new columns
+    only.  ``singular_values`` then holds the basis' Ritz values, largest
+    first.  A basis that would exceed ``FULL_BASIS_FRACTION`` of the grid
+    (the rank is then near n) is replaced by the exact eigendecomposition of
+    the whole weighted kernel, assembled once for it, and
+    ``singular_values`` holds all n+1 values.
     """
 
     def __init__(self, connector: DiscretizedConnector, reg: Regularization | None = None):
@@ -234,24 +243,46 @@ class ConnectorFactorization:
         size = len(self._sqrt_w)
         rng = np.random.default_rng(SKETCH_SEED)
         floor = self.reg.threshold / 10.0
-        width = SKETCH_BLOCK
+        basis = image = None
+        width = grow = SKETCH_BLOCK
         while width <= FULL_BASIS_FRACTION * size:
-            basis, _ = np.linalg.qr(self._apply_weighted(rng.standard_normal((size, width))))
-            for _ in range(SKETCH_POWER_PASSES):
-                basis, _ = np.linalg.qr(self._apply_weighted(basis))
-            ritz, coords = np.linalg.eigh(basis.T @ self._apply_weighted(basis))
+            block = rng.standard_normal((size, grow))
+            for _ in range(1 + SKETCH_POWER_PASSES):
+                block = self._orthonormalize(self._apply_weighted(block), basis)
+            block_image = self._apply_weighted(block)
+            if basis is None:
+                basis, image = block, block_image
+            else:
+                basis = np.hstack((basis, block))
+                image = np.hstack((image, block_image))
+            ritz, coords = np.linalg.eigh(basis.T @ image)
             magnitude = np.abs(ritz)
             top = magnitude.max()
-            below = np.count_nonzero(magnitude < floor * top)
-            if top == 0.0 or below >= width // 2:
+            if top == 0.0 or np.count_nonzero(magnitude < floor * top) >= width // 2:
                 return ritz, basis @ coords
-            if below == 0 and width > SKETCH_BLOCK:
-                break  # the rank is at least this width: the exact eigh is cheaper
+            grow = width
             width *= 2
         weighted = self.connector.kernel
         weighted *= self._sqrt_w[:, None]
         weighted *= self._sqrt_w[None, :]
         return np.linalg.eigh(weighted)
+
+    @staticmethod
+    def _orthonormalize(block: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+        """Orthonormal columns spanning ``block`` with ``basis`` projected out.
+
+        Twice, in the order project then QR: a projected block whose columns
+        lie near span(basis) is numerically rank-deficient, and Householder QR
+        fills its deficient columns with directions that need not be
+        orthogonal to ``basis``; only a second projection of the normalized
+        columns removes those.
+        """
+        if basis is None:
+            return np.linalg.qr(block)[0]
+        for _ in range(2):
+            block = block - basis @ (basis.T @ block)
+            block = np.linalg.qr(block)[0]
+        return block
 
     @property
     def condition_number(self) -> float:
@@ -292,11 +323,6 @@ def _rank_by_threshold(singular_values: np.ndarray, threshold: float) -> int:
         return count
     ratios = rel[lo:hi] / np.maximum(rel[lo + 1 : hi + 1], 1e-300)
     return lo + int(np.argmax(ratios)) + 1
-
-
-def numerical_rank(connector: DiscretizedConnector, threshold: float = 1e-8) -> int:
-    """Singular values above threshold * sigma_max, gap-refined at the cut."""
-    return ConnectorFactorization(connector, Regularization(threshold=threshold)).rank
 
 
 def solve_krein(

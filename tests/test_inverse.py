@@ -14,12 +14,12 @@ from krein_string import (
     build_connector,
     build_matrices,
     compute_spectral_data,
-    numerical_rank,
     recover_string,
     response_function,
     second_derivative,
     solve_forward_spectral,
     solve_krein,
+    uniform_spec,
 )
 from krein_string.inverse import (
     ConnectorFactorization,
@@ -211,6 +211,42 @@ def test_factorization_full_basis_limit(rng):
     assert np.max(np.abs(fact.solve(rhs)[0] - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
+def assert_matches_dense_oracle(fact, connector, rhs, threshold, solve_tol):
+    sv, rank, solve = dense_oracle(connector, threshold)
+    assert fact.rank == rank
+    assert np.max(np.abs(fact.singular_values[:rank] - sv[:rank])) <= 1e-13 * sv[0]
+    vecs = fact._vecs
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1]))) <= 1e-12
+    expected = solve(rhs)
+    assert np.max(np.abs(fact.solve(rhs)[0] - expected)) <= solve_tol * np.max(np.abs(expected))
+
+
+def test_grown_block_matches_dense_oracle_random(rng):
+    # ranks 9-11 leave fewer than half of a 16-wide block below the floor, so
+    # the block grows to 32 and the new columns must stay orthogonal to the old
+    widths = []
+    for n_segments in (10, 11, 12):
+        for noise, threshold in ((0.0, 1e-8), (1e-6, 1e-4)):
+            connector, rhs = random_connector(rng, n_segments, 800, noise)
+            fact = ConnectorFactorization(connector, Regularization(threshold=threshold))
+            assert_matches_dense_oracle(fact, connector, rhs, threshold, 1e-8)
+            widths.append(len(fact.singular_values))
+    assert widths == [32, 16, 32, 16, 32, 32]
+
+
+@pytest.mark.parametrize("n_masses, steps, width", [(16, 800, 32), (32, 800, 64), (64, 1100, 128)])
+def test_grown_block_matches_dense_oracle_uniform(n_masses, steps, width):
+    # the uniform chain at T=1 has rank 14, 25 and 46: the block grows one to
+    # three times, and at N=64 it must not give way to the full eigendecomposition
+    grid = TimeGrid(1.0, steps)
+    r = exact_response(uniform_spec(n_masses), grid)
+    rhs = r.values[(steps - np.arange(steps + 1)) * 8]
+    connector = build_connector(r, 1.0 / n_masses, grid)
+    fact = ConnectorFactorization(connector)
+    assert len(fact.singular_values) == width < steps + 1
+    assert_matches_dense_oracle(fact, connector, rhs, 1e-8, 1e-7)
+
+
 def test_factorization_is_reproducible(rng):
     connector, rhs = random_connector(rng, 5, 800)
     first = ConnectorFactorization(connector)
@@ -227,7 +263,8 @@ def test_numerical_rank_family(rng):
         connector = build_connector(
             exact_response(spec, grid, oversample=16), float(spec.lengths[0]), grid
         )
-        assert numerical_rank(connector, 1e-8) == n_segments - 1
+        fact = ConnectorFactorization(connector, Regularization(threshold=1e-8))
+        assert fact.rank == n_segments - 1
 
 
 def test_solve_krein_zero_rhs():
