@@ -25,7 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_grid, bessel_j_ladder
+# The pairings call the Bessel functions through these module names, so a
+# caller can rebind all three together; bessel_j is kept among them unused.
+from .bessel import bessel_j, bessel_j_grid, bessel_j_ladder  # noqa: F401
 from .errors import TruncationError
 from .model import StringSpec
 from .spectral import SpectralData
@@ -112,12 +114,11 @@ def delta_solution(n: int, j: int, t):
 def response_uniform(n: int, t: float) -> float:
     """Semi-infinite-chain response function r_n(t) = (2/t) J_2(2nt).
 
-    It equals ``delta_solution(n, 1, t)``; the n-segment string's response
-    differs from it by the image terms sum_{m != 0} g_{1+2mn}(t).
+    It is ``delta_solution(n, 1, t)``, so it needs n >= 2; the n-segment
+    string's response differs from it by the image terms
+    sum_{m != 0} g_{1+2mn}(t).
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    return 2.0 / t * bessel_j(2, 2.0 * n * t)
+    return delta_solution(n, 1, t)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,8 @@ def test_grid_matches_scalar():
 
 
 def test_hankel_branch_from_twenty():
-    # the large-argument branch takes x > 20 where 4 n^2 < x / 10
+    # large arguments at small orders (x > 20, 4 n^2 < x / 10), the range of a
+    # Hankel-expansion evaluation
     for n in range(8):
         xs = np.linspace(max(20.0, 40.0 * n * n), 2000.0, 4001)
         ref = scipy.special.jv(n, xs)
@@ -98,8 +99,7 @@ def test_grid_matches_scalar_across_twenty():
         got = bessel_j_grid(n, xs)
         scalar = np.array([bessel_j(n, float(x)) for x in xs])
         assert np.max(np.abs(got - scalar)) < 5e-15
-    # both switch to the Hankel branch above x = 20, where their sums match
-    # term for term; Miller's scalar and bucket sweeps round differently
+    # the scalar and the vectorized values are bitwise equal above x = 20
     hankel = xs > 20.0
     scalar = np.array([bessel_j(0, float(x)) for x in xs[hankel]])
     assert np.array_equal(bessel_j_grid(0, xs)[hankel], scalar)
@@ -112,3 +112,39 @@ def test_rejects_bad_arguments():
         bessel_j(2, -1.0)
     with pytest.raises(ValueError):
         bessel_j_grid(2, np.array([1.0, -2.0]))
+    # jv itself accepts negative orders, J_{-n} = (-1)^n J_n
+    with pytest.raises(ValueError):
+        bessel_j_grid(-2, np.array([1.0]))
+    with pytest.raises(ValueError):
+        bessel_j_ladder(-1, 1.0)
+
+
+def test_wrappers_against_extended_precision():
+    # an oracle independent of scipy.special.jv, which the wrappers call: mpmath
+    # at 30 digits over the ranges the uniform sweeps reach
+    import mpmath
+
+    with mpmath.workdps(30):
+
+        def extended(n, x):
+            return float(mpmath.besselj(int(n), mpmath.mpf(float(x))))
+
+        # random orders 0..512 at x up to 1500, uniform and log-uniform in x
+        rng = np.random.default_rng(512)
+        orders = rng.integers(0, 513, 200)
+        xs = np.concatenate([rng.uniform(0.0, 1500.0, 100), 10 ** rng.uniform(-2.0, np.log10(1500.0), 100)])
+        ref = np.array([extended(n, x) for n, x in zip(orders, xs)])
+        scalar = np.array([bessel_j(int(n), float(x)) for n, x in zip(orders, xs)])
+        grid = np.array([bessel_j_grid(int(n), [x])[0] for n, x in zip(orders, xs)])
+        assert np.max(np.abs(scalar - ref)) < 1e-13
+        assert np.max(np.abs(grid - ref)) < 1e-13
+
+        # the order-2 pairing grid (ds = 0.05 on (0, 720], every 29th point)
+        s = np.linspace(0.0, 720.0, 14401)[1::29]
+        ref = np.array([extended(2, x) for x in s])
+        assert np.max(np.abs(bessel_j_grid(2, s) - ref)) < 1e-13
+
+        # whole ladders to order 512, as the sine pairings and prop 1 use them
+        for x in (76.8, 153.6, 512.0):
+            ref = np.array([extended(n, x) for n in range(513)])
+            assert np.max(np.abs(bessel_j_ladder(512, x) - ref)) < 1e-13

@@ -212,3 +212,29 @@ def test_pair_solution_rejects_bad_input():
         pair_solution_with_sine(8, -0.1, 1)
     with pytest.raises(ValueError):
         pair_solution_with_sine(8, 0.5, 0)
+
+
+def test_bessel_calls_go_through_module_names(monkeypatch):
+    # the closed forms and pairings take J_n through uniform's module-level
+    # names, so rebinding those names reroutes every call (a reference sweep on
+    # other Bessel values, or timing spans around them)
+    import krein_string.uniform as uni
+
+    calls = []
+    for name in ("bessel_j_grid", "bessel_j_ladder"):
+        original = getattr(uni, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(uni, name, counted)
+
+    for run, used in (
+        (lambda: pair_response(8, gaussian_bump(0.0, 0.3)), "bessel_j_grid"),
+        (lambda: delta_solution(8, 2, np.linspace(0.1, 1.0, 10)), "bessel_j_grid"),
+        (lambda: pair_solution_with_sine(8, 0.3, 1), "bessel_j_ladder"),
+    ):
+        calls.clear()
+        run()
+        assert calls and set(calls) == {used}
