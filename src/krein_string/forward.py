@@ -9,11 +9,13 @@ addition from about 2 sqrt(n) sines and cosines per mode.
 ``solve_forward_delta`` returns it,
 ``response_function`` is its first component r(t), and
 ``solve_forward_spectral`` convolves it with the control in one batched
-trapezoid convolution.
+trapezoid convolution (``causal_convolution``: a real FFT product from
+``scipy.fft`` on long grids, exact direct sums on short ones).
 
 ``solve_forward_ode`` is the independent oracle: classical RK4 on
 M u_tt = A u + (f/l_1, 0, ..) in first-order form; the step is linear, so
-it is applied as one propagator matrix plus three forcing columns.
+it is applied as one propagator matrix plus three forcing columns.  It
+alone loads ``scipy.interpolate``, for the half-step control values.
 
 (R f)(t) = int_0^t r(t-s) f(s) ds = u_1^f(t); the same discrete
 convolution backs both identities, so they agree to rounding.
@@ -24,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.signal import convolve, fftconvolve
 
 from .errors import GridError, StabilityError
 from .model import StringSpec, SystemMatrices, positions
@@ -108,7 +109,11 @@ def causal_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.
     """Trapezoid discretization of int_0^t kernel(t - s) values(s) ds.
 
     A 2-D kernel holds one kernel per column; all columns are convolved
-    with the same values along axis 0 in one call.
+    with the same values along axis 0.  Above ``_FFT_THRESHOLD`` samples the
+    linear convolution is one zero-padded real FFT product (what
+    ``scipy.signal.fftconvolve`` computes, to the bit); at or below it each
+    column is an exact direct sum (``np.convolve``), so sample j never sees
+    a value past t_j, not even through rounding.
     """
     kernel = np.asarray(kernel, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -116,9 +121,12 @@ def causal_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.
         values = values[:, None]
     n = len(kernel)
     if n > _FFT_THRESHOLD:
-        full = fftconvolve(kernel, values, axes=0)[:n]
+        size = next_fast_len(2 * n - 1, True)
+        full = irfft(rfft(kernel, size, axis=0) * rfft(values, size, axis=0), size, axis=0)[:n]
+    elif kernel.ndim == 2:
+        full = np.column_stack([np.convolve(column, values[:, 0])[:n] for column in kernel.T])
     else:
-        full = convolve(kernel, values, method="direct")[:n]
+        full = np.convolve(kernel, values)[:n]
     return dt * (full - 0.5 * kernel * values[0] - 0.5 * kernel[0] * values)
 
 
@@ -258,6 +266,9 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     op[d:, :d] = inv_m[:, None] * a_mat
 
     t = grid.times
+    # imported here so that only this solver pays for loading scipy.interpolate
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(t, f.values)
     f_half = spline(t[:-1] + 0.5 * dt)
     direction = np.zeros(2 * d)

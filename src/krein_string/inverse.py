@@ -233,6 +233,7 @@ class ConnectorFactorization:
         self._vals = vals[order]
         self._vecs = vecs[:, order]
         self.rank = _rank_by_threshold(self.singular_values, self.reg.threshold)
+        self.last_image: np.ndarray | None = None
 
     def _apply_weighted(self, block: np.ndarray) -> np.ndarray:
         """D K D applied to the columns of ``block``."""
@@ -292,7 +293,8 @@ class ConnectorFactorization:
 
     def solve(self, rhs_values: np.ndarray) -> tuple[np.ndarray, float]:
         """Minimum-norm truncated solution of (C f) = rhs; returns
-        (solution values, relative weighted residual)."""
+        (solution values, relative weighted residual).  The residual needs
+        C f, which is kept as ``last_image`` for the caller."""
         if self.rank == 0:
             raise RankError("connector has numerical rank 0")
         weighted_rhs = self._sqrt_w * rhs_values
@@ -300,7 +302,8 @@ class ConnectorFactorization:
         coeffs = (basis.T @ weighted_rhs) / self._vals[: self.rank]
         solution = (basis @ coeffs) / self._sqrt_w
         # residual measured against the full (untruncated) operator
-        applied = self._sqrt_w * self.connector.apply(solution)
+        self.last_image = self.connector.apply(solution)
+        applied = self._sqrt_w * self.last_image
         rhs_norm = float(np.linalg.norm(weighted_rhs))
         residual = float(np.linalg.norm(applied - weighted_rhs)) / max(rhs_norm, 1e-300)
         return solution, residual
@@ -417,7 +420,7 @@ def recover_string(
 
     f_values, residual = fact.solve(rhs)
     _check_residual(residual, reg, step=1)
-    image = connector.apply(f_values)
+    image = fact.last_image
     image_prev = np.zeros_like(image)
     a_param = 1.0 / l1  # physical a_0; the image recursion instead starts bare
     a_sys = 0.0
@@ -447,7 +450,7 @@ def recover_string(
             f_values, residual = fact.solve(next_rhs)
             _check_residual(residual, reg, step=k + 1)
             image_prev = image
-            image = connector.apply(f_values)
+            image = fact.last_image
             a_sys = a_k
         a_param = a_k
 

@@ -46,6 +46,18 @@ def test_spectral_command(tmp_path, spec_file):
     assert float(rows[0][1]) < float(rows[1][1]) < 0.0
 
 
+def test_cli_import_leaves_heavy_scipy_out():
+    # a cold CLI start loads only scipy.fft, scipy.linalg and scipy.special;
+    # scipy.signal alone would pull in stats, optimize and more
+    heavy = ["scipy.signal", "scipy.interpolate", "scipy.stats", "scipy.optimize"]
+    code = f"import sys, krein_string.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(krein_string.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_forward_solvers_agree(tmp_path, spec_file):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

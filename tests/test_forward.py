@@ -25,6 +25,7 @@ from krein_string.bessel import bessel_j_grid
 from krein_string.forward import causal_convolution, rk4_propagator, rk4_step
 
 from scipy.linalg import eigh_tridiagonal
+from scipy.signal import fftconvolve
 
 from conftest import random_spec
 
@@ -122,6 +123,20 @@ def test_causality():
     tampered[cut + 1 :] += 5.0
     out_a = apply_response_operator(r, Waveform(grid, base)).values
     out_b = apply_response_operator(r, Waveform(grid, tampered)).values
+    assert np.array_equal(out_a[: cut + 1], out_b[: cut + 1])
+
+
+def test_causality_per_column():
+    # the direct path of a 2-D kernel sums each column on its own; no column
+    # may see a value past its time sample either
+    grid = TimeGrid(1.0, 200)
+    kernel = np.sin(np.outer(grid.times, [1.0, 2.0, 7.0]))
+    base = np.sin(grid.times)
+    tampered = base.copy()
+    cut = 120
+    tampered[cut + 1 :] += 5.0
+    out_a = causal_convolution(kernel, base, grid.dt)
+    out_b = causal_convolution(kernel, tampered, grid.dt)
     assert np.array_equal(out_a[: cut + 1], out_b[: cut + 1])
 
 
@@ -291,6 +306,19 @@ def test_causal_convolution_against_dense_quadrature(rng):
             w[0] = w[-1] = 0.5 * dt
             slow[j] = np.sum(w * values[: j + 1] * kernel[j::-1].T, axis=-1)
         assert np.max(np.abs(fast - slow)) < 1e-12, shape
+
+
+def test_fft_path_is_fftconvolve(rng):
+    # above the direct-sum threshold the convolution is the zero-padded FFT
+    # product scipy.signal.fftconvolve computes, bit for bit
+    dt = 0.01
+    for n in (513, 2000):
+        values = rng.standard_normal(n)
+        for kernel in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            column = values[:, None] if kernel.ndim == 2 else values
+            full = fftconvolve(kernel, column, axes=0)[:n]
+            expected = dt * (full - 0.5 * kernel * column[0] - 0.5 * kernel[0] * column)
+            assert np.array_equal(causal_convolution(kernel, values, dt), expected)
 
 
 # ---------------------------------------------------------------------------
