@@ -14,7 +14,6 @@ from .errors import (
     KreinStringError,
     RankError,
     RecoveryError,
-    RegularizationError,
     SpecError,
     StabilityError,
     TruncationError,
@@ -26,7 +25,6 @@ from .model import (
     positions,
     read_spec_file,
     validate_spec,
-    write_spec_file,
 )
 from .spectral import (
     SpectralData,
@@ -53,21 +51,17 @@ from .inverse import (
     Regularization,
     build_connector,
     recover_string,
-    second_derivative,
-    solve_krein,
 )
 from .bessel import bessel_j, bessel_j_grid, bessel_j_ladder
 from .uniform import (
     QuadratureControls,
     TestFunction,
-    UniformCase,
     chebyshev_u,
     delta_solution,
     pair_corrected_response,
     pair_response,
     pair_solution_with_sine,
     parse_test_function,
-    response_uniform,
     uniform_eigen,
     uniform_spec,
 )

@@ -22,7 +22,6 @@ from .errors import (
     GridError,
     RankError,
     RecoveryError,
-    RegularizationError,
     SpecError,
     StabilityError,
     TruncationError,
@@ -53,7 +52,6 @@ _NUMERICAL_ERRORS = (
     DegenerateSpectrumError,
     RankError,
     RecoveryError,
-    RegularizationError,
     TruncationError,
 )
 
@@ -98,8 +96,7 @@ def _control_waveform(descriptor: str, grid: TimeGrid) -> Waveform:
 # Commands.
 
 
-def _cmd_spectral(args) -> int:
-    config = RunConfig("spectral", {"spec": args.spec, "out": args.out})
+def _cmd_spectral(args, config: RunConfig) -> int:
     spec = read_spec_file(args.spec)
     data = compute_spectral_data(build_matrices(spec))
     rows = zip(range(1, data.n_modes + 1), data.eigenvalues.tolist(), data.weights.tolist())
@@ -107,18 +104,7 @@ def _cmd_spectral(args) -> int:
     return EXIT_OK
 
 
-def _cmd_forward(args) -> int:
-    config = RunConfig(
-        "forward",
-        {
-            "spec": args.spec,
-            "T": args.T,
-            "steps": args.steps,
-            "control": args.control,
-            "solver": args.solver,
-            "out": args.out,
-        },
-    )
+def _cmd_forward(args, config: RunConfig) -> int:
     spec = read_spec_file(args.spec)
     mats = build_matrices(spec)
     grid = TimeGrid(horizon=args.T, n_steps=args.steps)
@@ -139,11 +125,7 @@ def _cmd_forward(args) -> int:
     return EXIT_OK
 
 
-def _cmd_response(args) -> int:
-    config = RunConfig(
-        "response",
-        {"spec": args.spec, "T": args.T, "steps": args.steps, "out": args.out},
-    )
+def _cmd_response(args, config: RunConfig) -> int:
     spec = read_spec_file(args.spec)
     data = compute_spectral_data(build_matrices(spec))
     grid = TimeGrid(horizon=args.T, n_steps=args.steps)
@@ -200,18 +182,7 @@ def _emit_recovery(out_dir: Path, config: RunConfig, result) -> None:
     _write_csv(out_dir / "singular_values.csv", config, ["i", "sigma_i"], sv_rows)
 
 
-def _cmd_invert(args) -> int:
-    config = RunConfig(
-        "invert",
-        {
-            "response": args.response,
-            "l1": args.l1,
-            "steps": args.steps,
-            "threshold": args.threshold,
-            "max_residual": args.max_residual,
-            "out": args.out,
-        },
-    )
+def _cmd_invert(args, config: RunConfig) -> int:
     r = _read_response_csv(args.response)
     grid = TimeGrid(horizon=r.grid.horizon / 2.0, n_steps=args.steps)
     reg = Regularization(threshold=args.threshold, max_residual=args.max_residual)
@@ -226,22 +197,7 @@ def _cmd_invert(args) -> int:
     return EXIT_OK
 
 
-def _cmd_roundtrip(args) -> int:
-    config = RunConfig(
-        "roundtrip",
-        {
-            "spec": args.spec,
-            "T": args.T,
-            "steps": args.steps,
-            "l1": args.l1,
-            "oversample": args.oversample,
-            "noise": args.noise,
-            "seed": args.seed,
-            "threshold": args.threshold,
-            "max_residual": args.max_residual,
-            "out": args.out,
-        },
-    )
+def _cmd_roundtrip(args, config: RunConfig) -> int:
     spec = read_spec_file(args.spec)
     data = compute_spectral_data(build_matrices(spec))
     true_l1 = float(spec.lengths[0])
@@ -269,19 +225,8 @@ def _cmd_roundtrip(args) -> int:
     return EXIT_OK
 
 
-def _cmd_uniform_sweep(args) -> int:
+def _cmd_uniform_sweep(args, config: RunConfig) -> int:
     ns = [int(tok) for tok in args.N.split(",") if tok.strip()]
-    config = RunConfig(
-        "uniform-sweep",
-        {
-            "prop": args.prop,
-            "N": args.N,
-            "xi": args.xi,
-            "t": args.t,
-            "k": args.k,
-            "out": args.out,
-        },
-    )
     rows = []
     if args.prop == 1:
         # impulse components against the spectral sum, worst case over j and t;
@@ -304,8 +249,6 @@ def _cmd_uniform_sweep(args) -> int:
                 res = uniform.pair_response(n, xi)
                 rows.append((n, target, res.value, abs(res.value - target)))
         else:
-            if xi.derivative is None:
-                raise ValueError(f"{args.xi!r} has no analytic derivative for prop 3")
             target = float(xi.derivative(0.0))
             for n in ns:
                 res = uniform.pair_corrected_response(n, xi)
@@ -339,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
 
     p = sub.add_parser("spectral", help="eigenvalues and weights of a string")
     p.add_argument("--spec", required=True)
@@ -378,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l1", type=float, default=None, help="defaults to the true l_1")
     p.add_argument("--oversample", type=int, default=8)
     p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the --noise draw")
     p.add_argument("--threshold", type=float, default=1e-8)
     p.add_argument("--max-residual", dest="max_residual", type=float, default=5e-2)
     add_common(p)
@@ -408,8 +351,11 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    # the parser is the one declaration of each option: the header echoes
+    # every option of the command, in the order the parser declares them
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     try:
-        return args.func(args)
+        return args.func(args, RunConfig(args.command, options))
     except _NUMERICAL_ERRORS as exc:
         print(f"error_code={EXIT_NUMERICAL} detail={exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: configuration problems (bad spec files,
 mismatched grids) exit with 2, numerical failures (stability, rank,
-regularization, and numpy's ``LinAlgError``) with 3, I/O with 4.
+recovery, truncation, and numpy's ``LinAlgError``) with 3, I/O with 4.
 """
 
 
@@ -29,10 +29,6 @@ class DegenerateSpectrumError(KreinStringError, RuntimeError):
 
 class RankError(KreinStringError, RuntimeError):
     """Connector rank degenerate or inconsistent with the requested solve."""
-
-
-class RegularizationError(KreinStringError, RuntimeError):
-    """Truncated solve left a residual above the configured bound."""
 
 
 class RecoveryError(KreinStringError, RuntimeError):

@@ -91,7 +91,6 @@ class Trajectory:
 
     grid: TimeGrid
     states: np.ndarray
-    velocities: np.ndarray | None = None
 
     def __post_init__(self):
         states = np.array(self.states, dtype=float)
@@ -99,10 +98,6 @@ class Trajectory:
             raise GridError("states must be (n_steps+1, n_masses)")
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
-        if self.velocities is not None:
-            vel = np.array(self.velocities, dtype=float)
-            vel.flags.writeable = False
-            object.__setattr__(self, "velocities", vel)
 
 
 def causal_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.ndarray:
@@ -281,7 +276,7 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     ys = np.zeros((grid.n_steps + 1, 2 * d))
     for j in range(grid.n_steps):
         ys[j + 1] = prop @ ys[j] + drive[j]
-    return Trajectory(grid=grid, states=ys[:, :d], velocities=ys[:, d:])
+    return Trajectory(grid=grid, states=ys[:, :d])
 
 
 def response_function(data: SpectralData, l1: float, grid: TimeGrid) -> Waveform:

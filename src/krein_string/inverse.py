@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .errors import GridError, RankError, RecoveryError, RegularizationError
+from .errors import GridError, RankError, RecoveryError
 from .forward import TimeGrid, Waveform
 
 A_DIVISION_GUARD = 1e-10
@@ -328,32 +328,9 @@ def _rank_by_threshold(singular_values: np.ndarray, threshold: float) -> int:
     return lo + int(np.argmax(ratios)) + 1
 
 
-def solve_krein(
-    connector: DiscretizedConnector,
-    rhs: Waveform,
-    reg: Regularization | None = None,
-) -> Waveform:
-    """Truncated minimum-norm solution of (C f)(t) = rhs(t)."""
-    if not connector.grid.compatible(rhs.grid):
-        raise GridError("right-hand side must live on the connector grid")
-    fact = ConnectorFactorization(connector, reg)
-    values, residual = fact.solve(rhs.values)
-    limit = fact.reg.max_residual
-    if residual > limit:
-        raise RegularizationError(
-            f"truncated solve leaves relative residual {residual:.3e} > {limit:.1e}"
-        )
-    return Waveform(grid=connector.grid, values=values)
-
-
-def second_derivative(w: Waveform) -> Waveform:
-    """Second differences, one-sided second-order stencils at the ends."""
-    if w.grid.n_steps + 1 < 5:
-        raise GridError("second derivative needs at least 5 grid nodes")
-    return Waveform(grid=w.grid, values=_second_diff(w.values, w.grid.dt))
-
-
 def _second_diff(values: np.ndarray, dt: float) -> np.ndarray:
+    """Second differences, one-sided second-order stencils at the ends; they
+    read four nodes at each end."""
     out = np.empty_like(values)
     out[1:-1] = values[2:] - 2.0 * values[1:-1] + values[:-2]
     out[0] = 2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2] - values[3]
@@ -401,6 +378,11 @@ def recover_string(
     endpoint-derivative estimate -||f_1||^2 / f_1'(T) is reported in the
     diagnostics as a cross-check.
     """
+    if grid.n_steps < 3:
+        raise GridError(
+            f"recovery needs at least 4 control-grid nodes for the curvature "
+            f"stencil (steps >= 3), got {grid.n_steps + 1}"
+        )
     connector = build_connector(r, l1, grid)
     fact = ConnectorFactorization(connector, reg)
     reg = fact.reg

@@ -194,7 +194,3 @@ def format_spec(spec: StringSpec) -> str:
     masses = ",".join(repr(float(v)) for v in spec.masses)
     return f"lengths={lengths}\nmasses={masses}\n"
 
-
-def write_spec_file(path, spec: StringSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_spec(spec))

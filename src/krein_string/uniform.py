@@ -36,21 +36,6 @@ from .spectral import SpectralData
 _J2_ENVELOPE = 0.9
 
 
-@dataclass(frozen=True)
-class UniformCase:
-    """n equal segments and n-1 equal masses on (0, 1); requires n >= 2."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("uniform case needs n >= 2")
-
-    @property
-    def spec(self) -> StringSpec:
-        return uniform_spec(self.n)
-
-
 def uniform_spec(n: int) -> StringSpec:
     """StringSpec with lengths 1/n (n entries) and masses 1/n (n-1 entries)."""
     if n < 2:
@@ -111,36 +96,23 @@ def delta_solution(n: int, j: int, t):
     return float(values[0]) if np.ndim(t) == 0 else values
 
 
-def response_uniform(n: int, t: float) -> float:
-    """Semi-infinite-chain response function r_n(t) = (2/t) J_2(2nt).
-
-    It is ``delta_solution(n, 1, t)``, so it needs n >= 2; the n-segment
-    string's response differs from it by the image terms
-    sum_{m != 0} g_{1+2mn}(t).
-    """
-    return delta_solution(n, 1, t)
-
-
 # ---------------------------------------------------------------------------
 # Test functions for distributional pairings.
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth test function with optional analytic derivative and a bound on
+    """Smooth test function with its analytic derivative and a bound on
     sup_{tau >= t} |xi(tau)| used by truncation estimates."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    descriptor: str
-    derivative: Callable[[np.ndarray], np.ndarray] | None = None
-    tail_sup: Callable[[float], float] | None = None
+    derivative: Callable[[np.ndarray], np.ndarray]
+    tail_sup: Callable[[float], float]
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
 
     def sup_beyond(self, t: float) -> float:
-        if self.tail_sup is None:
-            return 1.0
         return float(self.tail_sup(t))
 
 
@@ -156,7 +128,7 @@ def gaussian_bump(center: float, width: float) -> TestFunction:
     def tail(t):
         return 1.0 if t <= c else float(np.exp(-0.5 * ((t - c) / w) ** 2))
 
-    return TestFunction(fn, f"gauss:{c!r},{w!r}", deriv, tail)
+    return TestFunction(fn, deriv, tail)
 
 
 def raised_cosine(center: float, halfwidth: float) -> TestFunction:
@@ -179,14 +151,13 @@ def raised_cosine(center: float, halfwidth: float) -> TestFunction:
     def tail(t):
         return 1.0 if t < c + w else 0.0
 
-    return TestFunction(fn, f"rcos:{c!r},{w!r}", deriv, tail)
+    return TestFunction(fn, deriv, tail)
 
 
 def sine_mode(k: float) -> TestFunction:
     k = float(k)
     return TestFunction(
         lambda t: np.sin(k * np.asarray(t, dtype=float)),
-        f"sine:{k!r}",
         lambda t: k * np.cos(k * np.asarray(t, dtype=float)),
         lambda t: 1.0,
     )
@@ -195,7 +166,6 @@ def sine_mode(k: float) -> TestFunction:
 def constant_one() -> TestFunction:
     return TestFunction(
         lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        "one",
         lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         lambda t: 1.0,
     )

@@ -121,6 +121,21 @@ def test_invert_rejects_non_finite_response(tmp_path, small_response, capsys):
     assert "response sample 57" in err and "nan" in err
 
 
+def test_too_few_steps_is_a_config_error(tmp_path, spec_file, small_response, capsys):
+    # the curvature stencil reads four nodes at each end: steps 1 and 2 are
+    # rejected before any solve, steps 3 reaches the recursion and fails there
+    roundtrip = ["roundtrip", "--spec", spec_file, "--T", "2.0", "--out", str(tmp_path)]
+    invert = ["invert", "--response", small_response(), "--l1", "0.5", "--out", str(tmp_path)]
+    for argv in (roundtrip, invert):
+        for steps in ("1", "2"):
+            assert run(*argv, "--steps", steps) == 2, (argv[0], steps)
+            err = capsys.readouterr().err
+            assert err.startswith("error_code=2 detail=recovery needs at least 4")
+            assert "Traceback" not in err
+    assert run(*roundtrip, "--steps", "3") == 3
+    assert capsys.readouterr().err.startswith("error_code=3 ")
+
+
 def test_linalg_failure_is_numerical(tmp_path, small_response, capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -271,3 +286,80 @@ def test_every_command_writes_the_csv_contract(tmp_path, spec_file):
         header, rows = csv_fields(out / f"uniform_prop{prop}.csv")
         assert header == ["N", "target", "value", "abs_error"]
         assert [row[0] for row in rows] == ["8", "16"]
+
+
+# ---------------------------------------------------------------------------
+# Header lines: the configuration echo every CSV opens with, pinned byte for
+# byte; {spec}, {response} and {out} stand for the paths of each run.
+
+GOLDEN_HEADERS = {
+    "spectral": (
+        ["spectral", "--spec", "{spec}", "--out", "{out}"],
+        "spectral.csv",
+        "# krein-string spectral spec={spec} out={out}",
+    ),
+    "forward-spectral": (
+        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--out", "{out}"],
+        "trajectory.csv",
+        "# krein-string forward spec={spec} T=1.0 steps=800 control=delta "
+        "solver=spectral out={out}",
+    ),
+    "forward-ode": (
+        ["forward", "--spec", "{spec}", "--T", "1", "--steps", "800",
+         "--control", "gauss:0.3,0.1", "--solver", "ode", "--out", "{out}"],
+        "trajectory.csv",
+        "# krein-string forward spec={spec} T=1.0 steps=800 control=gauss:0.3,0.1 "
+        "solver=ode out={out}",
+    ),
+    "response": (
+        ["response", "--spec", "{spec}", "--T", "4.0", "--steps", "2000", "--out", "{out}"],
+        "response.csv",
+        "# krein-string response spec={spec} T=4.0 steps=2000 out={out}",
+    ),
+    "invert": (
+        ["invert", "--response", "{response}", "--l1", "0.5", "--steps", "100",
+         "--out", "{out}"],
+        "recovery.csv",
+        "# krein-string invert response={response} l1=0.5 steps=100 threshold=1e-08 "
+        "max_residual=0.05 out={out}",
+    ),
+    "roundtrip": (
+        ["roundtrip", "--spec", "{spec}", "--T", "2.0", "--steps", "900", "--out", "{out}"],
+        "recovery.csv",
+        "# krein-string roundtrip spec={spec} T=2.0 steps=900 l1=None oversample=8 "
+        "noise=0.0 seed=0 threshold=1e-08 max_residual=0.05 out={out}",
+    ),
+    "roundtrip-noisy": (
+        ["roundtrip", "--spec", "{spec}", "--T", "2.0", "--steps", "900", "--l1", "0.2",
+         "--noise", "1e-6", "--seed", "3", "--threshold", "1e-4", "--out", "{out}"],
+        "recovery.csv",
+        "# krein-string roundtrip spec={spec} T=2.0 steps=900 l1=0.2 oversample=8 "
+        "noise=1e-06 seed=3 threshold=0.0001 max_residual=0.05 out={out}",
+    ),
+    "uniform-sweep": (
+        ["uniform-sweep", "--prop", "4", "--N", "8,16", "--k", "2", "--out", "{out}"],
+        "uniform_prop4.csv",
+        "# krein-string uniform-sweep prop=4 N=8,16 xi=gauss:0.0,0.3 t=0.3 k=2 out={out}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_HEADERS))
+def test_golden_header(case, tmp_path, spec_file, small_response):
+    argv, name, header = GOLDEN_HEADERS[case]
+    paths = {"spec": spec_file, "response": small_response(), "out": str(tmp_path / "out")}
+    assert run(*(arg.format(**paths) for arg in argv)) == 0
+    lines = {p.name: p.read_text(encoding="utf-8").splitlines()[0] for p in (tmp_path / "out").iterdir()}
+    assert lines[name] == header.format(**paths)
+    # every CSV of one run echoes the same configuration
+    assert set(lines.values()) == {header.format(**paths)}
+
+
+def test_only_roundtrip_takes_a_seed(tmp_path, spec_file, capsys):
+    # --seed seeds roundtrip's noise draw; the other commands reject it
+    out = str(tmp_path / "out")
+    assert run("forward", "--spec", spec_file, "--T", "1.0", "--steps", "800", "--seed", "1", "--out", out) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert run("spectral", "--spec", spec_file, "--seed", "1", "--out", out) == 2
+    assert run("uniform-sweep", "--prop", "2", "--N", "8", "--seed", "1", "--out", out) == 2
+    assert not (tmp_path / "out").exists()

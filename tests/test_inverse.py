@@ -16,15 +16,15 @@ from krein_string import (
     compute_spectral_data,
     recover_string,
     response_function,
-    second_derivative,
     solve_forward_spectral,
-    solve_krein,
     uniform_spec,
 )
+from krein_string.errors import RecoveryError
 from krein_string.inverse import (
     ConnectorFactorization,
     _cumulative_trapezoid,
     _rank_by_threshold,
+    _second_diff,
 )
 
 from conftest import random_spec
@@ -267,56 +267,63 @@ def test_numerical_rank_family(rng):
         assert fact.rank == n_segments - 1
 
 
-def test_solve_krein_zero_rhs():
+def test_factorization_solve_zero_rhs():
     grid = TimeGrid(1.0, 300)
     connector = build_connector(exact_response(SINGLE, grid), 0.5, grid)
-    out = solve_krein(connector, Waveform(grid, np.zeros(301)))
-    assert np.max(np.abs(out.values)) < 1e-12
+    values, _ = ConnectorFactorization(connector).solve(np.zeros(301))
+    assert np.max(np.abs(values)) < 1e-12
 
 
-def test_solve_krein_single_mass_round_trip():
+def test_factorization_solve_single_mass():
     # (C f_1, f_1) must invert to m_1 = 1
     grid = TimeGrid(1.0, 1000)
     r = exact_response(SINGLE, grid)
     connector = build_connector(r, 0.5, grid)
     rhs = r.values[(grid.n_steps - np.arange(grid.n_steps + 1)) * 8]
-    f1 = solve_krein(connector, Waveform(grid, rhs))
-    gram = connector.weighted_inner(connector.apply(f1.values), f1.values)
+    f1, _ = ConnectorFactorization(connector).solve(rhs)
+    gram = connector.weighted_inner(connector.apply(f1), f1)
     assert gram > 0.0
     assert 1.0 / gram == pytest.approx(1.0, abs=1e-4)
 
 
-def test_solve_krein_residual_guard():
-    # a right-hand side far outside the rank-one range must be reported
+def test_recover_residual_guard_names_step():
+    # 1e-6 noise leaves the first Krein solve a residual near 1e-6, far
+    # above this bound
     grid = TimeGrid(1.0, 500)
-    connector = build_connector(exact_response(SINGLE, grid), 0.5, grid)
-    rhs = Waveform(grid, np.sin(40.0 * grid.times))
-    from krein_string import RegularizationError
-
-    with pytest.raises(RegularizationError, match="residual"):
-        solve_krein(connector, rhs, Regularization(max_residual=1e-3))
+    r = exact_response(SINGLE, grid)
+    noise = 1e-6 * np.random.default_rng(0).standard_normal(len(r.values))
+    noisy = Waveform(r.grid, r.values + noise)
+    with pytest.raises(RecoveryError, match="residual") as excinfo:
+        recover_string(noisy, 0.5, grid, Regularization(max_residual=1e-8))
+    assert excinfo.value.step == 1
 
 
 def test_rank_zero_raises():
     grid = TimeGrid(1.0, 120)
     connector = build_connector(Waveform(TimeGrid(2.0, 240), np.zeros(241)), 0.5, grid)
     with pytest.raises(RankError):
-        solve_krein(connector, Waveform(grid, np.ones(121)))
+        ConnectorFactorization(connector).solve(np.ones(121))
     with pytest.raises(RankError):
         recover_string(Waveform(TimeGrid(2.0, 240), np.zeros(241)), 0.5, grid)
 
 
-def test_second_derivative_stencils():
+def test_second_diff_stencils():
     grid = TimeGrid(1.0, 100)
     t = grid.times
-    exact = second_derivative(Waveform(grid, t**2))
-    assert np.max(np.abs(exact.values - 2.0)) < 1e-9
-    linear = second_derivative(Waveform(grid, 3.0 * t - 1.0))
-    assert np.max(np.abs(linear.values)) < 1e-10
-    sine = second_derivative(Waveform(grid, np.sin(2.0 * t)))
-    assert np.max(np.abs(sine.values + 4.0 * np.sin(2.0 * t))) < 1e-2
-    with pytest.raises(GridError):
-        second_derivative(Waveform(TimeGrid(1.0, 3), np.zeros(4)))
+    exact = _second_diff(t**2, grid.dt)
+    assert np.max(np.abs(exact - 2.0)) < 1e-9
+    linear = _second_diff(3.0 * t - 1.0, grid.dt)
+    assert np.max(np.abs(linear)) < 1e-10
+    sine = _second_diff(np.sin(2.0 * t), grid.dt)
+    assert np.max(np.abs(sine + 4.0 * np.sin(2.0 * t))) < 1e-2
+
+
+def test_recover_needs_four_nodes():
+    # the curvature stencil reads four nodes at each end of the control grid
+    for steps in (1, 2):
+        grid = TimeGrid(1.0, steps)
+        with pytest.raises(GridError, match="at least 4"):
+            recover_string(exact_response(SINGLE, grid), 0.5, grid)
 
 
 def test_recover_single_mass():
