@@ -198,6 +198,8 @@ def _cmd_invert(args, config: RunConfig) -> int:
 
 
 def _cmd_roundtrip(args, config: RunConfig) -> int:
+    if not (np.isfinite(args.noise) and args.noise >= 0.0):
+        raise ValueError(f"noise must be finite and non-negative, got {args.noise!r}")
     spec = read_spec_file(args.spec)
     data = compute_spectral_data(build_matrices(spec))
     true_l1 = float(spec.lengths[0])

@@ -14,8 +14,8 @@ trapezoid convolution (``causal_convolution``: a real FFT product from
 
 ``solve_forward_ode`` is the independent oracle: classical RK4 on
 M u_tt = A u + (f/l_1, 0, ..) in first-order form; the step is linear, so
-it is applied as one propagator matrix plus three forcing columns.  It
-alone loads ``scipy.interpolate``, for the half-step control values.
+it is applied as one propagator matrix plus three forcing columns, and
+the half-step control values come from a four-point midpoint rule.
 
 (R f)(t) = int_0^t r(t-s) f(s) ds = u_1^f(t); the same discrete
 convolution backs both identities, so they agree to rounding.
@@ -232,19 +232,33 @@ def rk4_propagator(op: np.ndarray, dt: float, direction: np.ndarray):
     return prop, c0, ch, c1
 
 
+def _midpoint_values(f: np.ndarray) -> np.ndarray:
+    """f halfway between uniform samples: the cubic through the four nearest,
+    (-f_{j-1} + 9 f_j + 9 f_{j+1} - f_{j+2}) / 16, and at the ends the
+    one-sided (5 f_0 + 15 f_1 - 5 f_2 + f_3) / 16 and its mirror.  Exact on
+    cubics, so O(dt^4) like the RK4 step; needs four samples."""
+    half = np.empty(len(f) - 1)
+    half[1:-1] = (9.0 * (f[1:-2] + f[2:-1]) - f[:-3] - f[3:]) / 16.0
+    half[0] = (5.0 * f[0] + 15.0 * f[1] - 5.0 * f[2] + f[3]) / 16.0
+    half[-1] = (5.0 * f[-1] + 15.0 * f[-2] - 5.0 * f[-3] + f[-4]) / 16.0
+    return half
+
+
 def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajectory:
     """Independent oracle: classical RK4 on (u, u_t).
 
     The stiffness matrix is negative definite, so the stable oscillatory
     dynamics is M u_tt = A u + (f/l_1) e_1; its modal form is exactly the
-    spectral representation the other solver sums.  Control samples are
-    interpolated with a cubic spline for the half-step stage values,
-    keeping the interpolation error below the scheme's own.  Each step is
+    spectral representation the other solver sums.  The half-step stage
+    values of the control come from ``_midpoint_values``, fourth order like
+    the scheme, so the grid needs at least 3 steps.  Each step is
     y_{j+1} = P y_j + f_j c0 + f_{j+1/2} ch + f_{j+1} c1, the four-stage
     step applied once to the basis and the forcing direction
     (``rk4_propagator``); no spectral data enters.
     """
     grid = f.grid
+    if grid.n_steps < 3:
+        raise GridError(f"the RK4 oracle needs at least 4 nodes (steps >= 3), got {grid.n_steps + 1}")
     dt = grid.dt
     nu_max = _max_frequency(mats)
     if nu_max * dt >= RK4_LIMIT:
@@ -260,12 +274,7 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     op[:d, d:] = np.eye(d)
     op[d:, :d] = inv_m[:, None] * a_mat
 
-    t = grid.times
-    # imported here so that only this solver pays for loading scipy.interpolate
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(t, f.values)
-    f_half = spline(t[:-1] + 0.5 * dt)
+    f_half = _midpoint_values(f.values)
     direction = np.zeros(2 * d)
     direction[d] = 1.0 / (l1 * mats.masses[0])
     prop, c0, ch, c1 = rk4_propagator(op, dt, direction)

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .errors import GridError, RankError, RecoveryError
+from .errors import GridError, RankError, RecoveryError, SpecError
 from .forward import TimeGrid, Waveform
 
 A_DIVISION_GUARD = 1e-10
@@ -61,6 +61,12 @@ class Regularization:
 
     threshold: float = 1e-8
     max_residual: float = 5e-2
+
+    def __post_init__(self):
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold!r}")
+        if not (np.isfinite(self.max_residual) and self.max_residual > 0.0):
+            raise ValueError(f"max_residual must be finite and positive, got {self.max_residual!r}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,8 @@ def build_connector(r: Waveform, l1: float, grid: TimeGrid) -> DiscretizedConnec
     divides the control step; sampling r finer than the control grid drives
     the cumulative-trapezoid error below the rank-detection floor.
     """
+    if not (np.isfinite(l1) and l1 > 0.0):
+        raise SpecError(f"l1 must be finite and positive, got {l1!r}")
     n = grid.n_steps
     if not np.isclose(r.grid.horizon, 2.0 * grid.horizon, rtol=1e-9, atol=0.0):
         raise GridError(
@@ -284,12 +292,6 @@ class ConnectorFactorization:
             block = block - basis @ (basis.T @ block)
             block = np.linalg.qr(block)[0]
         return block
-
-    @property
-    def condition_number(self) -> float:
-        if self.rank == 0:
-            return np.inf
-        return float(self.singular_values[0] / self.singular_values[self.rank - 1])
 
     def solve(self, rhs_values: np.ndarray) -> tuple[np.ndarray, float]:
         """Minimum-norm truncated solution of (C f) = rhs; returns
@@ -403,9 +405,8 @@ def recover_string(
     f_values, residual = fact.solve(rhs)
     _check_residual(residual, reg, step=1)
     image = fact.last_image
-    image_prev = np.zeros_like(image)
-    a_param = 1.0 / l1  # physical a_0; the image recursion instead starts bare
-    a_sys = 0.0
+    image_prev = np.zeros_like(image)  # C f_0 = 0: no predecessor term at step 1
+    a_param = 1.0 / l1
 
     for k in range(1, n_detected + 1):
         controls.append(Waveform(grid=grid, values=f_values))
@@ -428,12 +429,11 @@ def recover_string(
         b_entries.append(b_k)
         a_entries.append(a_k)
         if k < n_detected:
-            next_rhs = (m_k * curvature - a_sys * image_prev - b_k * image) / a_k
+            next_rhs = (m_k * curvature - a_param * image_prev - b_k * image) / a_k
             f_values, residual = fact.solve(next_rhs)
             _check_residual(residual, reg, step=k + 1)
             image_prev = image
             image = fact.last_image
-            a_sys = a_k
         a_param = a_k
 
     lengths = np.concatenate(([l1], 1.0 / np.array(a_entries)))
@@ -442,11 +442,12 @@ def recover_string(
     norm_sq = connector.weighted_inner(f1, f1)
     l1_estimate = -norm_sq / deriv_end if deriv_end != 0.0 else np.nan
 
+    sigma = fact.singular_values
     diagnostics = RecoveryDiagnostics(
-        singular_values=fact.singular_values,
+        singular_values=sigma,
         rank=n_detected,
         residuals=np.array(residuals),
-        condition_numbers=np.full(n_detected, fact.condition_number),
+        condition_numbers=np.full(n_detected, sigma[0] / sigma[n_detected - 1]),
         l1_input=l1,
         l1_estimate=float(l1_estimate),
     )

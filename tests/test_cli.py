@@ -46,16 +46,36 @@ def test_spectral_command(tmp_path, spec_file):
     assert float(rows[0][1]) < float(rows[1][1]) < 0.0
 
 
-def test_cli_import_leaves_heavy_scipy_out():
-    # a cold CLI start loads only scipy.fft, scipy.linalg and scipy.special;
-    # scipy.signal alone would pull in stats, optimize and more
-    heavy = ["scipy.signal", "scipy.interpolate", "scipy.stats", "scipy.optimize"]
-    code = f"import sys, krein_string.cli; print([m for m in {heavy!r} if m in sys.modules])"
+def test_cli_import_leaves_heavy_scipy_out(tmp_path, spec_file, small_response):
+    # every command, run in one fresh interpreter, loads only scipy.fft,
+    # scipy.linalg and scipy.special; scipy.signal or scipy.interpolate alone
+    # would pull in stats, optimize, sparse, spatial and more
+    heavy = [
+        "scipy.signal", "scipy.interpolate", "scipy.stats",
+        "scipy.optimize", "scipy.sparse", "scipy.spatial",
+    ]
+    forward = ["forward", "--spec", spec_file, "--T", "1.0", "--steps", "800"]
+    commands = [
+        ["spectral", "--spec", spec_file],
+        forward,
+        [*forward, "--control", "gauss:0.3,0.1", "--solver", "ode"],
+        ["response", "--spec", spec_file, "--T", "4.0", "--steps", "2000"],
+        ["invert", "--response", small_response(), "--l1", "0.5", "--steps", "100"],
+        ["roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "900"],
+        ["uniform-sweep", "--prop", "2", "--N", "8"],
+    ]
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from krein_string.cli import main\n"
+        f"codes = [main([*argv, '--out', {out!r}]) for argv in {commands!r}]\n"
+        f"print(codes, [m for m in {heavy!r} if m in sys.modules])"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(krein_string.__file__).parents[1]))
-    out = subprocess.run(
+    result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert result.stdout.strip().splitlines()[-1] == f"{[0] * len(commands)} []"
 
 
 def test_forward_solvers_agree(tmp_path, spec_file):
@@ -122,18 +142,59 @@ def test_invert_rejects_non_finite_response(tmp_path, small_response, capsys):
 
 
 def test_too_few_steps_is_a_config_error(tmp_path, spec_file, small_response, capsys):
-    # the curvature stencil reads four nodes at each end: steps 1 and 2 are
-    # rejected before any solve, steps 3 reaches the recursion and fails there
+    # the curvature stencil and the RK4 oracle's midpoint rule read four nodes
+    # at each end: steps 1 and 2 are rejected before any solve; steps 3
+    # reaches the recursion and fails there, and the oracle runs
     roundtrip = ["roundtrip", "--spec", spec_file, "--T", "2.0", "--out", str(tmp_path)]
     invert = ["invert", "--response", small_response(), "--l1", "0.5", "--out", str(tmp_path)]
-    for argv in (roundtrip, invert):
+    ode = ["forward", "--spec", spec_file, "--T", "2.0", "--solver", "ode", "--out", str(tmp_path)]
+    needs = {"roundtrip": "recovery", "invert": "recovery", "forward": "the RK4 oracle"}
+    for argv in (roundtrip, invert, ode):
         for steps in ("1", "2"):
             assert run(*argv, "--steps", steps) == 2, (argv[0], steps)
             err = capsys.readouterr().err
-            assert err.startswith("error_code=2 detail=recovery needs at least 4")
+            assert err.startswith(f"error_code=2 detail={needs[argv[0]]} needs at least 4")
             assert "Traceback" not in err
     assert run(*roundtrip, "--steps", "3") == 3
     assert capsys.readouterr().err.startswith("error_code=3 ")
+    assert run(*ode, "--steps", "3") == 0
+
+
+@pytest.mark.parametrize(
+    "command, option, value, detail",
+    [
+        ("invert", "--l1", "0", "l1 must be finite and positive"),
+        ("invert", "--l1", "-0.2", "l1 must be finite and positive"),
+        ("invert", "--l1", "nan", "l1 must be finite and positive"),
+        ("invert", "--l1", "inf", "l1 must be finite and positive"),
+        ("roundtrip", "--l1", "0", "l1 must be finite and positive"),
+        ("invert", "--threshold", "-1", "threshold must lie in (0, 1)"),
+        ("invert", "--threshold", "0", "threshold must lie in (0, 1)"),
+        ("invert", "--threshold", "1", "threshold must lie in (0, 1)"),
+        ("invert", "--threshold", "2", "threshold must lie in (0, 1)"),
+        ("roundtrip", "--threshold", "nan", "threshold must lie in (0, 1)"),
+        ("invert", "--max-residual", "nan", "max_residual must be finite and positive"),
+        ("invert", "--max-residual", "0", "max_residual must be finite and positive"),
+        ("roundtrip", "--max-residual", "inf", "max_residual must be finite and positive"),
+        ("roundtrip", "--noise", "-1e-6", "noise must be finite and non-negative"),
+        ("roundtrip", "--noise", "nan", "noise must be finite and non-negative"),
+        ("roundtrip", "--noise", "inf", "noise must be finite and non-negative"),
+    ],
+)
+def test_invalid_recovery_inputs_are_config_errors(
+    command, option, value, detail, tmp_path, spec_file, small_response, capsys
+):
+    # each is rejected before any artifact is written, never read as a
+    # degenerate but accepted configuration
+    base = {
+        "invert": ["invert", "--response", small_response(), "--l1", "0.5", "--steps", "100"],
+        "roundtrip": ["roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "900"],
+    }[command]
+    out = tmp_path / "out"
+    assert run(*base, f"{option}={value}", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error_code=2 detail={detail}, got ")
+    assert not out.exists()
 
 
 def test_linalg_failure_is_numerical(tmp_path, small_response, capsys, monkeypatch):

@@ -22,7 +22,7 @@ from krein_string import (
     uniform_spec,
 )
 from krein_string.bessel import bessel_j_grid
-from krein_string.forward import causal_convolution, rk4_propagator, rk4_step
+from krein_string.forward import _midpoint_values, causal_convolution, rk4_propagator, rk4_step
 
 from scipy.linalg import eigh_tridiagonal
 from scipy.signal import fftconvolve
@@ -213,6 +213,22 @@ def test_ode_fourth_order():
         exact = (2.0 / 3.0) * np.sin(t) - (1.0 / 3.0) * np.sin(2.0 * t)
         errors.append(np.max(np.abs(traj.states[:, 0] - exact)))
     assert 12.0 <= errors[0] / errors[1] <= 20.0
+
+
+def test_midpoint_rule_is_exact_on_cubics(rng):
+    # the four-point rule holds cubics exactly: the interior stencil and the
+    # one-sided rules at both ends, down to the four-sample minimum
+    for n_samples in (4, 5, 9):
+        t = np.linspace(-0.4, 1.3, n_samples)
+        mid = t[:-1] + 0.5 * (t[1] - t[0])
+        for _ in range(5):
+            coeffs = rng.standard_normal(4)
+            half = _midpoint_values(np.polynomial.polynomial.polyval(t, coeffs))
+            exact = np.polynomial.polynomial.polyval(mid, coeffs)
+            scale = np.max(np.abs(exact))
+            assert abs(half[0] - exact[0]) <= 1e-14 * scale
+            assert abs(half[-1] - exact[-1]) <= 1e-14 * scale
+            assert np.max(np.abs(half[1:-1] - exact[1:-1]), initial=0.0) <= 1e-14 * scale
 
 
 def test_mollified_delta_converges_to_impulse_response():
