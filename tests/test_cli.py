@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import krein_string
 from krein_string import (
@@ -49,11 +50,15 @@ def test_spectral_command(tmp_path, spec_file):
 def test_cli_import_leaves_heavy_scipy_out(tmp_path, spec_file, small_response):
     # every command, run in one fresh interpreter, loads only scipy.fft,
     # scipy.linalg and scipy.special; scipy.signal or scipy.interpolate alone
-    # would pull in stats, optimize, sparse, spatial and more
+    # would pull in stats, optimize, sparse, spatial and more.  Before scipy
+    # 1.17, scipy.linalg itself imports scipy.sparse, so only from 1.17 on
+    # is sparse ruled out.
     heavy = [
         "scipy.signal", "scipy.interpolate", "scipy.stats",
-        "scipy.optimize", "scipy.sparse", "scipy.spatial",
+        "scipy.optimize", "scipy.spatial",
     ]
+    if tuple(int(part) for part in scipy.__version__.split(".")[:2]) >= (1, 17):
+        heavy.append("scipy.sparse")
     forward = ["forward", "--spec", spec_file, "--T", "1.0", "--steps", "800"]
     commands = [
         ["spectral", "--spec", spec_file],
