@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+# Rows formatted and written per block, so a long table is never held whole
+# as Python floats or text.
+_BLOCK_ROWS = 1024
 
 _CONFIG_ERRORS = (SpecError, GridError, ValueError)
 # LinAlgError subclasses ValueError, so main() must test this tuple first
@@ -76,12 +81,25 @@ class RunConfig:
 
 
 def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
-    """Rows hold plain Python ints and floats (build them with ``tolist()``),
-    so ``repr`` writes what ``_fmt`` would; an ``np.float64`` would not."""
-    lines = [f"# {config.echo()}", ",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows]
+    """Write the echo line, the header and then ``rows``, an iterable of rows
+    of plain Python ints and floats (build them with ``tolist()``), so
+    ``repr`` writes what ``_fmt`` would; an ``np.float64`` would not.  Rows
+    are formatted and written ``_BLOCK_ROWS`` at a time, so a generator of
+    rows is never held whole; the bytes are those of one join of all lines."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {config.echo()}\n{','.join(header)}\n")
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            fh.writelines([",".join(map(repr, row)) + "\n" for row in block])
+
+
+def _table_rows(times: np.ndarray, values: np.ndarray):
+    """Rows (t_j, values[j]...) as plain Python floats, ``tolist()`` of one
+    block of ``_BLOCK_ROWS`` at a time."""
+    for start in range(0, len(times), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        yield from np.column_stack([times[block], values[block]]).tolist()
 
 
 def _control_waveform(descriptor: str, grid: TimeGrid) -> Waveform:
@@ -120,7 +138,7 @@ def _cmd_forward(args, config: RunConfig) -> int:
             control = _control_waveform(args.control, grid)
             traj = solve_forward_spectral(mats, data, control, l1)
     header = ["t"] + [f"u_{i + 1}" for i in range(mats.order)]
-    rows = np.column_stack([grid.times, traj.states]).tolist()
+    rows = _table_rows(grid.times, traj.states)
     _write_csv(Path(args.out) / "trajectory.csv", config, header, rows)
     return EXIT_OK
 
@@ -130,7 +148,7 @@ def _cmd_response(args, config: RunConfig) -> int:
     data = compute_spectral_data(build_matrices(spec))
     grid = TimeGrid(horizon=args.T, n_steps=args.steps)
     r = response_function(data, float(spec.lengths[0]), grid)
-    rows = np.column_stack([grid.times, r.values]).tolist()
+    rows = _table_rows(grid.times, r.values)
     _write_csv(Path(args.out) / "response.csv", config, ["t", "r"], rows)
     return EXIT_OK
 

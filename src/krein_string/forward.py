@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import GridError, StabilityError
 from .model import StringSpec, SystemMatrices, positions
@@ -161,11 +160,10 @@ def _impulse_response(
     # einsum, not @: a threaded BLAS product leaves its threads spinning, which
     # slowed the CSV writing after it by up to 60 ms on a 2-CPU host; one
     # 2-index product per component, since a 3-index einsum loops naively
-    columns = [
-        np.einsum("ak,bk->ab", coarse * np.tile(c, 2), fine).ravel()
-        for c in coefficients.T
-    ]
-    return np.stack(columns, axis=1)[: len(times)]
+    out = np.empty((len(times), coefficients.shape[1]))
+    for j, c in enumerate(coefficients.T):
+        out[:, j] = np.einsum("ak,bk->ab", coarse * np.tile(c, 2), fine).ravel()[: len(times)]
+    return out
 
 
 def solve_forward_spectral(
@@ -203,7 +201,7 @@ def mollified_delta(grid: TimeGrid, width: float, center: float | None = None) -
 
 
 def _max_frequency(mats: SystemMatrices) -> float:
-    lam = eigvalsh_tridiagonal(*symmetric_reduction(mats))
+    lam = np.linalg.eigvalsh(symmetric_reduction(mats))
     return float(np.sqrt(-lam[0]))
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from krein_string import (
     solve_forward_ode,
     solve_forward_spectral,
 )
-from krein_string.cli import RunConfig, _fmt, _write_csv, main
+from krein_string.cli import _BLOCK_ROWS, RunConfig, _fmt, _write_csv, main
 from krein_string.uniform import parse_test_function
 
 SPEC_TEXT = "lengths=0.2,0.3,0.5\nmasses=1.0,2.0\n"
@@ -48,17 +49,18 @@ def test_spectral_command(tmp_path, spec_file):
 
 
 def test_cli_import_leaves_heavy_scipy_out(tmp_path, spec_file, small_response):
-    # every command, run in one fresh interpreter, loads only scipy.fft,
-    # scipy.linalg and scipy.special; scipy.signal or scipy.interpolate alone
-    # would pull in stats, optimize, sparse, spatial and more.  Before scipy
-    # 1.17, scipy.linalg itself imports scipy.sparse, so only from 1.17 on
-    # is sparse ruled out.
+    # every command, run in one fresh interpreter, loads only scipy.fft and
+    # scipy.special; scipy.signal or scipy.interpolate alone would pull in
+    # stats, optimize, sparse, spatial and more.  Before scipy 1.17,
+    # scipy.special imports scipy.linalg at module level (for the roots of
+    # its orthogonal polynomials), and scipy.linalg imports scipy.sparse, so
+    # only from 1.17 on are linalg and sparse ruled out.
     heavy = [
         "scipy.signal", "scipy.interpolate", "scipy.stats",
         "scipy.optimize", "scipy.spatial",
     ]
     if tuple(int(part) for part in scipy.__version__.split(".")[:2]) >= (1, 17):
-        heavy.append("scipy.sparse")
+        heavy += ["scipy.linalg", "scipy.sparse"]
     forward = ["forward", "--spec", spec_file, "--T", "1.0", "--steps", "800"]
     commands = [
         ["spectral", "--spec", spec_file],
@@ -306,6 +308,42 @@ def test_write_csv_writes_what_fmt_writes(tmp_path):
     written = path.read_text(encoding="utf-8").splitlines()[2].split(",")
     assert written == [_fmt(v) for v in row]
     assert written[1:4] == ["-0.0", "inf", "nan"]
+
+
+@pytest.mark.parametrize("n_rows", [5 * _BLOCK_ROWS // 2, 0])
+def test_write_csv_writes_the_one_shot_bytes(tmp_path, n_rows):
+    # rows are formatted a block at a time; the file is what one join of
+    # every line wrote, over 2.5 blocks and for a header-only table
+    specials = [7, -0.0, 5e-324, 1e16, float("inf")]
+    noise = np.random.default_rng(0).standard_normal((n_rows, 2)).tolist()
+    rows = [[j, specials[j % 5], *pair] for j, pair in enumerate(noise)]
+    config = RunConfig("unit", {"out": "x"})
+    header = ["k", "special", "a", "b"]
+    path = tmp_path / "unit.csv"
+    _write_csv(path, config, header, iter(rows))
+    lines = [f"# {config.echo()}", ",".join(header)]
+    lines += [",".join(map(repr, row)) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_forward_peak_memory(tmp_path):
+    # a 24-segment impulse trajectory at 10000 steps is 10001 x 23 floats
+    # (1.8 MiB); writing its CSV a block of rows at a time keeps the traced
+    # peak at about twice that (3.7 MiB measured), where the whole table as
+    # Python floats and text took 24.9 MiB
+    rng = np.random.default_rng(24)
+    path = tmp_path / "string.txt"
+    lengths, masses = rng.uniform(0.2, 1.0, 24).tolist(), rng.uniform(0.2, 1.0, 23).tolist()
+    path.write_text(f"lengths={','.join(map(repr, lengths))}\nmasses={','.join(map(repr, masses))}\n")
+    argv = ["forward", "--spec", str(path), "--T", "4.0", "--steps", "10000", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 10003
+    assert peak < 6 * 2**20, peak / 2**20
 
 
 def test_forward_and_response_columns_are_the_library_arrays(tmp_path, spec_file):

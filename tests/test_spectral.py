@@ -116,3 +116,26 @@ def test_spectral_function_uniform_three():
     # eigenvalues -27, -9; only -27 lies below -20, and 1/omega_1 = 2 sin^2(pi/3)
     data = compute_spectral_data(build_matrices(uniform_spec(3)))
     assert spectral_function(data, -20.0) == pytest.approx(1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_segments", [4, 24, 128, 256])
+def test_dense_eigh_matches_the_tridiagonal_solvers(n_segments):
+    # the package solves the tridiagonal M^{-1/2} A M^{-1/2} as a dense
+    # matrix with numpy, so scipy.linalg is imported here only
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+
+    from krein_string.forward import _max_frequency
+
+    mats = build_matrices(random_spec(np.random.default_rng(n_segments), n_segments, 0.2, 1.0))
+    sqrt_m = np.sqrt(mats.masses)
+    reduced = (mats.diag / mats.masses, mats.off_diag / (sqrt_m[:-1] * sqrt_m[1:]))
+    lam, vecs = eigh_tridiagonal(*reduced)
+    modes = vecs.T / sqrt_m
+    modes[modes[:, 0] < 0.0] *= -1.0
+    scale = np.max(np.abs(lam))
+
+    data = compute_spectral_data(mats)
+    assert np.max(np.abs(data.eigenvalues - lam)) <= 1e-12 * scale
+    assert np.max(np.abs(data.modes - modes)) <= 1e-12 * np.max(np.abs(modes))
+    nu_max = np.sqrt(-eigvalsh_tridiagonal(*reduced)[0])
+    assert abs(_max_frequency(mats) - nu_max) <= 1e-12 * nu_max
