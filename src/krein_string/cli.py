@@ -1,15 +1,16 @@
 """Command-line front end: run experiments, emit reproducible CSV artifacts.
 
-Every output file opens with a comment echoing the full configuration, and
-reruns with the same configuration produce byte-identical bodies.  Floats
-are written with shortest round-trip precision (``repr``), index columns as
-ints.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O failure.
+Every output file opens with a comment echoing the full configuration as
+the command line that reruns it, and reruns with the same configuration
+produce byte-identical files.  Floats are written with shortest round-trip
+precision (``repr``), index columns as ints.  Exit codes: 0 success,
+2 configuration error, 3 numerical failure, 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from dataclasses import dataclass, field
 from itertools import islice
@@ -75,8 +76,13 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def echo(self) -> str:
-        parts = [f"krein-string {self.command}"]
-        parts += [f"{key}={value}" for key, value in self.options.items()]
+        """The command line that reruns this configuration: each option as
+        ``--name value`` (the dest with ``-`` for ``_``), shell-quoted; an
+        unset option (``None``) is left out, so its default applies again."""
+        parts = ["krein-string", self.command]
+        for key, value in self.options.items():
+            if value is not None:
+                parts += ["--" + key.replace("_", "-"), shlex.quote(str(value))]
         return " ".join(parts)
 
 
@@ -166,6 +172,8 @@ def _read_response_csv(path: str) -> Waveform:
             values.append(float(r_str))
     if len(times) < 3:
         raise GridError(f"{path}: too few samples for a response")
+    if abs(times[0]) > 1e-12:
+        raise GridError(f"{path}: response must start at t = 0, first sample at t = {times[0]!r}")
     times_arr = np.asarray(times)
     steps = np.diff(times_arr)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
@@ -372,7 +380,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     # the parser is the one declaration of each option: the header echoes
-    # every option of the command, in the order the parser declares them
+    # every set option of the command, in the order the parser declares them
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     try:
         return args.func(args, RunConfig(args.command, options))

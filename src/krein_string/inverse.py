@@ -27,9 +27,10 @@ kernel to thin blocks.  The range finder is blocked and incremental
 (Martinsson & Voronin, SIAM J. Sci. Comput. 38, 2016): when its basis is too
 narrow to hold the rank cut, new Gaussian columns are sketched against it,
 orthogonalized to it twice, and appended, and the kernel is never applied
-to the old columns again.  The dense (n+1)^2 kernel is assembled only for
-the full eigendecomposition it falls back to when the numerical rank is a
-sizeable fraction of the grid, and for the tests.
+to the old columns again.  This is the only factorization: no (n+1)^2 array
+is formed, and a numerical rank that a basis of an eighth of the grid cannot
+hold (a noise floor above the threshold, or too few steps per mass) raises
+``RankError``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import GridError, RankError, RecoveryError, SpecError
@@ -46,12 +46,13 @@ from .forward import TimeGrid, Waveform
 A_DIVISION_GUARD = 1e-10
 
 # Randomized range finder: starting block width, power passes per block, the
-# fixed sketch seed (reruns stay byte-identical), and the fraction of the grid
-# a block may reach before a full eigendecomposition is cheaper.
+# fixed sketch seed (reruns stay byte-identical), and the largest fraction of
+# the grid nodes the basis may span (never less than one block); a rank that
+# needs more is a noise floor above the threshold, not a string.
 SKETCH_BLOCK = 16
 SKETCH_POWER_PASSES = 2
 SKETCH_SEED = 20110
-FULL_BASIS_FRACTION = 1.0 / 8.0
+MAX_BASIS_FRACTION = 1.0 / 8.0
 
 
 @dataclass(frozen=True)
@@ -119,24 +120,6 @@ class DiscretizedConnector:
             ("_toeplitz_spectrum", self.scale * rfft(sym).real),
         ):
             object.__setattr__(self, name, value)
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """The dense (n+1)^2 kernel for the full-basis fallback and the tests:
-        a fresh array on each access; the connector keeps no copy."""
-        n = self.grid.n_steps
-        cumulative = self.cumulative
-        # c(t_i, t_j) indexes the antiderivative at 2n-i-j (Hankel part) and
-        # |i-j| (Toeplitz part); both indices are symmetric in (i, j), so the
-        # kernel is exactly symmetric and the factorization needs no
-        # symmetrization
-        hankel_part = sliding_window_view(cumulative[::-1], n + 1)
-        toeplitz_part = sliding_window_view(
-            np.concatenate((cumulative[n:0:-1], cumulative[: n + 1])), n + 1
-        )[::-1]
-        kernel = np.subtract(hankel_part, toeplitz_part)
-        kernel *= self.scale
-        return kernel
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Operator action (C f)(t_i) = sum_j kernel[i, j] w_j f_j on a vector
@@ -225,10 +208,12 @@ class ConnectorFactorization:
     projecting and QR again.  The basis and its image D K D Q are kept, so
     Rayleigh-Ritz on the grown basis applies the kernel to the new columns
     only.  ``singular_values`` then holds the basis' Ritz values, largest
-    first.  A basis that would exceed ``FULL_BASIS_FRACTION`` of the grid
-    (the rank is then near n) is replaced by the exact eigendecomposition of
-    the whole weighted kernel, assembled once for it, and
-    ``singular_values`` holds all n+1 values.
+    first.  The width may reach ``MAX_BASIS_FRACTION`` of the n+1 grid nodes,
+    or one block if that is more; on grids under 16 steps the first block
+    spans the whole grid, and its Ritz pairs are the exact eigenpairs.  A
+    basis that would grow past that cap means a rank near n, and raises
+    ``RankError`` naming the basis width, how many of its Ritz values fell
+    below the floor, and the grid size.
     """
 
     def __init__(self, connector: DiscretizedConnector, reg: Regularization | None = None):
@@ -252,9 +237,10 @@ class ConnectorFactorization:
         size = len(self._sqrt_w)
         rng = np.random.default_rng(SKETCH_SEED)
         floor = self.reg.threshold / 10.0
+        cap = max(int(MAX_BASIS_FRACTION * size), SKETCH_BLOCK)
         basis = image = None
-        width = grow = SKETCH_BLOCK
-        while width <= FULL_BASIS_FRACTION * size:
+        grow = SKETCH_BLOCK
+        while True:
             block = rng.standard_normal((size, grow))
             for _ in range(1 + SKETCH_POWER_PASSES):
                 block = self._orthonormalize(self._apply_weighted(block), basis)
@@ -267,14 +253,20 @@ class ConnectorFactorization:
             ritz, coords = np.linalg.eigh(basis.T @ image)
             magnitude = np.abs(ritz)
             top = magnitude.max()
-            if top == 0.0 or np.count_nonzero(magnitude < floor * top) >= width // 2:
+            width = len(ritz)
+            below = np.count_nonzero(magnitude < floor * top)
+            if top == 0.0 or below >= width // 2:
                 return ritz, basis @ coords
+            if 2 * width > cap:
+                raise RankError(
+                    f"connector rank is near the grid size: {below} of the {width} Ritz "
+                    f"values of the sketch basis fall below threshold/10 * sigma_max "
+                    f"= {floor * top:.3e}, fewer than half, and {2 * width} columns "
+                    f"would pass the rank cap of {cap} on the {size - 1}-step grid; "
+                    f"raise --threshold above the noise floor, or --steps if the grid "
+                    f"has too few steps per mass"
+                )
             grow = width
-            width *= 2
-        weighted = self.connector.kernel
-        weighted *= self._sqrt_w[:, None]
-        weighted *= self._sqrt_w[None, :]
-        return np.linalg.eigh(weighted)
 
     @staticmethod
     def _orthonormalize(block: np.ndarray, basis: np.ndarray | None) -> np.ndarray:

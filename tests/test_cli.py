@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -120,10 +121,11 @@ def test_response_and_invert_round_trip(tmp_path, spec_file):
 
 @pytest.fixture
 def small_response(tmp_path):
-    """r = sin 2t (one unit mass, l_1 = 0.5) on [0, 2] in 200 steps."""
+    """r = sin 2t (one unit mass, l_1 = 0.5) on [0, 2] in 200 steps, or on
+    [start, 2] when ``start`` moves the first sample off t = 0."""
 
-    def write(bad_index=None):
-        t = np.linspace(0.0, 2.0, 201)
+    def write(bad_index=None, start=0.0):
+        t = np.linspace(start, 2.0, 201)
         r = np.sin(2.0 * t)
         if bad_index is not None:
             r[bad_index] = np.nan
@@ -146,6 +148,16 @@ def test_invert_rejects_non_finite_response(tmp_path, small_response, capsys):
     err = capsys.readouterr().err
     assert "error_code=2" in err
     assert "response sample 57" in err and "nan" in err
+
+
+def test_invert_rejects_a_response_not_starting_at_zero(tmp_path, small_response, capsys):
+    # the horizon is read from the last sample, so a grid that starts late
+    # would be read as if it started at t = 0
+    assert invert_small(small_response(start=0.1), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error_code=2 ")
+    assert "response must start at t = 0, first sample at t = 0.1" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_too_few_steps_is_a_config_error(tmp_path, spec_file, small_response, capsys):
@@ -242,6 +254,11 @@ def test_exit_codes(tmp_path, spec_file, capsys):
     assert "error_code=2" in capsys.readouterr().err
     assert run("spectral", "--spec", str(tmp_path / "missing.txt"), "--out", str(tmp_path)) == 4
     assert "error_code=4" in capsys.readouterr().err
+    # a valid string whose two lowest modes differ below spectral.GAP_TOL
+    degenerate = tmp_path / "degenerate.txt"
+    degenerate.write_text("lengths=1,1e12,1\nmasses=1,1\n", encoding="utf-8")
+    assert run("spectral", "--spec", str(degenerate), "--out", str(tmp_path)) == 3
+    assert "error_code=3 detail=near-multiple eigenvalues" in capsys.readouterr().err
     # Nyquist guard trips on a 4-step grid
     assert run("forward", "--spec", spec_file, "--T", "1.0", "--steps", "4", "--out", str(tmp_path)) == 3
     assert "error_code=3" in capsys.readouterr().err
@@ -394,56 +411,59 @@ def test_every_command_writes_the_csv_contract(tmp_path, spec_file):
 
 # ---------------------------------------------------------------------------
 # Header lines: the configuration echo every CSV opens with, pinned byte for
-# byte; {spec}, {response} and {out} stand for the paths of each run.
+# byte; {spec}, {response} and {out} stand for the shell-quoted paths of each
+# run.  Each header is the command line that reruns its files.
 
 GOLDEN_HEADERS = {
     "spectral": (
         ["spectral", "--spec", "{spec}", "--out", "{out}"],
         "spectral.csv",
-        "# krein-string spectral spec={spec} out={out}",
+        "# krein-string spectral --spec {spec} --out {out}",
     ),
     "forward-spectral": (
         ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--out", "{out}"],
         "trajectory.csv",
-        "# krein-string forward spec={spec} T=1.0 steps=800 control=delta "
-        "solver=spectral out={out}",
+        "# krein-string forward --spec {spec} --T 1.0 --steps 800 --control delta "
+        "--solver spectral --out {out}",
     ),
     "forward-ode": (
         ["forward", "--spec", "{spec}", "--T", "1", "--steps", "800",
          "--control", "gauss:0.3,0.1", "--solver", "ode", "--out", "{out}"],
         "trajectory.csv",
-        "# krein-string forward spec={spec} T=1.0 steps=800 control=gauss:0.3,0.1 "
-        "solver=ode out={out}",
+        "# krein-string forward --spec {spec} --T 1.0 --steps 800 "
+        "--control gauss:0.3,0.1 --solver ode --out {out}",
     ),
     "response": (
         ["response", "--spec", "{spec}", "--T", "4.0", "--steps", "2000", "--out", "{out}"],
         "response.csv",
-        "# krein-string response spec={spec} T=4.0 steps=2000 out={out}",
+        "# krein-string response --spec {spec} --T 4.0 --steps 2000 --out {out}",
     ),
     "invert": (
         ["invert", "--response", "{response}", "--l1", "0.5", "--steps", "100",
          "--out", "{out}"],
         "recovery.csv",
-        "# krein-string invert response={response} l1=0.5 steps=100 threshold=1e-08 "
-        "max_residual=0.05 out={out}",
+        "# krein-string invert --response {response} --l1 0.5 --steps 100 "
+        "--threshold 1e-08 --max-residual 0.05 --out {out}",
     ),
     "roundtrip": (
         ["roundtrip", "--spec", "{spec}", "--T", "2.0", "--steps", "900", "--out", "{out}"],
         "recovery.csv",
-        "# krein-string roundtrip spec={spec} T=2.0 steps=900 l1=None oversample=8 "
-        "noise=0.0 seed=0 threshold=1e-08 max_residual=0.05 out={out}",
+        "# krein-string roundtrip --spec {spec} --T 2.0 --steps 900 --oversample 8 "
+        "--noise 0.0 --seed 0 --threshold 1e-08 --max-residual 0.05 --out {out}",
     ),
     "roundtrip-noisy": (
         ["roundtrip", "--spec", "{spec}", "--T", "2.0", "--steps", "900", "--l1", "0.2",
          "--noise", "1e-6", "--seed", "3", "--threshold", "1e-4", "--out", "{out}"],
         "recovery.csv",
-        "# krein-string roundtrip spec={spec} T=2.0 steps=900 l1=0.2 oversample=8 "
-        "noise=1e-06 seed=3 threshold=0.0001 max_residual=0.05 out={out}",
+        "# krein-string roundtrip --spec {spec} --T 2.0 --steps 900 --l1 0.2 "
+        "--oversample 8 --noise 1e-06 --seed 3 --threshold 0.0001 --max-residual 0.05 "
+        "--out {out}",
     ),
     "uniform-sweep": (
         ["uniform-sweep", "--prop", "4", "--N", "8,16", "--k", "2", "--out", "{out}"],
         "uniform_prop4.csv",
-        "# krein-string uniform-sweep prop=4 N=8,16 xi=gauss:0.0,0.3 t=0.3 k=2 out={out}",
+        "# krein-string uniform-sweep --prop 4 --N 8,16 --xi gauss:0.0,0.3 --t 0.3 "
+        "--k 2 --out {out}",
     ),
 }
 
@@ -453,10 +473,16 @@ def test_golden_header(case, tmp_path, spec_file, small_response):
     argv, name, header = GOLDEN_HEADERS[case]
     paths = {"spec": spec_file, "response": small_response(), "out": str(tmp_path / "out")}
     assert run(*(arg.format(**paths) for arg in argv)) == 0
-    lines = {p.name: p.read_text(encoding="utf-8").splitlines()[0] for p in (tmp_path / "out").iterdir()}
-    assert lines[name] == header.format(**paths)
+    files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    lines = {file_name: body.decode("utf-8").splitlines()[0] for file_name, body in files.items()}
+    header = header.format(**{key: shlex.quote(path) for key, path in paths.items()})
+    assert lines[name] == header
     # every CSV of one run echoes the same configuration
-    assert set(lines.values()) == {header.format(**paths)}
+    assert set(lines.values()) == {header}
+    # and the echo, fed back to the command line, rewrites every file as it was
+    assert run(*shlex.split(header.removeprefix("# krein-string "))) == 0
+    for file_name, body in files.items():
+        assert (tmp_path / "out" / file_name).read_bytes() == body, file_name
 
 
 def test_only_roundtrip_takes_a_seed(tmp_path, spec_file, capsys):

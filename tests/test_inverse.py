@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import hankel, toeplitz
 
 from krein_string import (
@@ -39,11 +40,28 @@ def exact_response(spec, grid, oversample=8):
 SINGLE = StringSpec([0.5, 0.5], [1.0])
 
 
+def dense_kernel(connector):
+    """The dense (n+1)^2 kernel K[i, j] = scale (P[2n-i-j] - P[|i-j|]), the
+    reference for the FFT apply and the factorization."""
+    n = connector.grid.n_steps
+    cumulative = connector.cumulative
+    # c(t_i, t_j) indexes the antiderivative at 2n-i-j (Hankel part) and
+    # |i-j| (Toeplitz part); both indices are symmetric in (i, j), so the
+    # kernel is exactly symmetric
+    hankel_part = sliding_window_view(cumulative[::-1], n + 1)
+    toeplitz_part = sliding_window_view(
+        np.concatenate((cumulative[n:0:-1], cumulative[: n + 1])), n + 1
+    )[::-1]
+    kernel = np.subtract(hankel_part, toeplitz_part)
+    kernel *= connector.scale
+    return kernel
+
+
 def dense_oracle(connector, threshold):
     """Full eigendecomposition of the explicitly weighted kernel, the reference
     for the truncated factorization: (singular values, rank, solve)."""
     sqrt_w = np.sqrt(connector.quad_weights)
-    vals, vecs = np.linalg.eigh(sqrt_w[:, None] * connector.kernel * sqrt_w[None, :])
+    vals, vecs = np.linalg.eigh(sqrt_w[:, None] * dense_kernel(connector) * sqrt_w[None, :])
     order = np.argsort(np.abs(vals))[::-1]
     vals, vecs = vals[order], vecs[:, order]
     rank = _rank_by_threshold(np.abs(vals), threshold)
@@ -69,15 +87,15 @@ def test_zero_response_zero_kernel():
     grid = TimeGrid(1.0, 64)
     r = Waveform(TimeGrid(2.0, 128), np.zeros(129))
     connector = build_connector(r, 0.5, grid)
-    assert np.all(connector.kernel == 0.0)
+    assert np.all(dense_kernel(connector) == 0.0)
 
 
 def test_corner_entry_vanishes():
     grid = TimeGrid(1.0, 200)
     r = exact_response(SINGLE, grid)
-    connector = build_connector(r, 0.5, grid)
-    assert connector.kernel[-1, -1] == pytest.approx(0.0, abs=1e-14)
-    assert np.max(np.abs(connector.kernel - connector.kernel.T)) == 0.0
+    kernel = dense_kernel(build_connector(r, 0.5, grid))
+    assert kernel[-1, -1] == pytest.approx(0.0, abs=1e-14)
+    assert np.max(np.abs(kernel - kernel.T)) == 0.0
 
 
 def test_single_mass_kernel_closed_form():
@@ -87,7 +105,7 @@ def test_single_mass_kernel_closed_form():
     connector = build_connector(r, 0.5, grid)
     t = grid.times
     expected = np.outer(np.sin(2.0 * (1.0 - t)), np.sin(2.0 * (1.0 - t)))
-    assert np.max(np.abs(connector.kernel - expected)) < 1e-8
+    assert np.max(np.abs(dense_kernel(connector) - expected)) < 1e-8
 
 
 def test_kernel_is_hankel_minus_toeplitz():
@@ -99,7 +117,7 @@ def test_kernel_is_hankel_minus_toeplitz():
     expected = (1.0 / 0.6) * (
         hankel(cumulative[2 * n :: -1][: n + 1], cumulative[n::-1]) - toeplitz(cumulative[: n + 1])
     )
-    assert np.array_equal(connector.kernel, expected)
+    assert np.array_equal(dense_kernel(connector), expected)
 
 
 def generic_connector(rng, steps):
@@ -112,7 +130,7 @@ def generic_connector(rng, steps):
 @pytest.mark.parametrize("steps", [4, 5, 64, 2000])
 def test_fft_apply_matches_dense_kernel(rng, steps):
     for connector in (generic_connector(rng, steps), random_connector(rng, 5, steps)[0]):
-        kernel, w = connector.kernel, connector.quad_weights
+        kernel, w = dense_kernel(connector), connector.quad_weights
         for x in (rng.standard_normal(steps + 1), rng.standard_normal((steps + 1, 16))):
             expected = kernel @ (w * x if x.ndim == 1 else w[:, None] * x)
             got = connector.apply(x)
@@ -179,7 +197,7 @@ def test_kernel_positive_semidefinite(rng):
     connector = build_connector(exact_response(spec, grid), float(spec.lengths[0]), grid)
     fact = ConnectorFactorization(connector)
     sqrt_w = np.sqrt(connector.quad_weights)
-    sym = sqrt_w[:, None] * connector.kernel * sqrt_w[None, :]
+    sym = sqrt_w[:, None] * dense_kernel(connector) * sqrt_w[None, :]
     eigenvalues = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     assert eigenvalues[0] > -1e-12 * fact.singular_values[0]
 
@@ -199,16 +217,16 @@ def test_factorization_matches_dense_oracle(rng):
 
 
 def test_factorization_full_basis_limit(rng):
-    # a noise floor far above the cut leaves rank ~ n: the block would outgrow
-    # its cap, so every value comes from the full eigendecomposition
-    connector, rhs = random_connector(rng, 4, 200, noise=1e-3)
-    fact = ConnectorFactorization(connector)
-    sv, rank, solve = dense_oracle(connector, 1e-8)
-    assert len(fact.singular_values) == 201
-    assert fact.rank == rank > 150
-    assert np.allclose(fact.singular_values, sv, rtol=1e-10, atol=0.0)
-    expected = solve(rhs)
-    assert np.max(np.abs(fact.solve(rhs)[0] - expected)) <= 1e-8 * np.max(np.abs(expected))
+    # a noise floor far above the cut leaves rank ~ n: no Ritz value of the
+    # 16-column block falls below the floor, and 32 columns would pass the
+    # cap of 201 // 8 = 25, so the factorization refuses with its evidence
+    connector, _ = random_connector(rng, 4, 200, noise=1e-3)
+    with pytest.raises(RankError) as excinfo:
+        ConnectorFactorization(connector)
+    message = str(excinfo.value)
+    assert "0 of the 16 Ritz values" in message
+    assert "rank cap of 25 on the 200-step grid" in message
+    assert "--threshold" in message and "--steps" in message
 
 
 def assert_matches_dense_oracle(fact, connector, rhs, threshold, solve_tol):
@@ -333,6 +351,17 @@ def test_recover_single_mass():
     assert result.recovered_masses[0] == pytest.approx(1.0, abs=1e-2)
     assert result.recovered_lengths[1] == pytest.approx(0.5, abs=1e-2)
     assert result.diagnostics.l1_estimate == pytest.approx(0.5, abs=1e-2)
+
+
+@pytest.mark.parametrize("steps, width", [(6, 7), (40, 16)])
+def test_recover_single_mass_on_short_grids(steps, width):
+    # under 16 steps the one sketch block spans the whole grid, so its Ritz
+    # pairs are exact; under 128 steps the basis is one 16-column block
+    grid = TimeGrid(1.0, steps)
+    result = recover_string(exact_response(SINGLE, grid), 0.5, grid)
+    assert len(result.diagnostics.singular_values) == width
+    assert result.diagnostics.rank == 1
+    assert result.recovered_masses[0] == pytest.approx(1.0, abs=2e-4)
 
 
 def test_recover_four_segment_string():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from krein_string import (
+    DegenerateSpectrumError,
     StringSpec,
     build_matrices,
     compute_spectral_data,
@@ -38,6 +39,14 @@ def test_spectral_data_single_mass():
     assert data.eigenvalues == pytest.approx([-4.0])
     assert data.weights == pytest.approx([1.0])
     assert np.allclose(data.modes, [[1.0]])
+
+
+def test_degenerate_spectrum_is_reported():
+    # a 1e12 middle segment all but decouples the two unit masses: the
+    # eigenvalues are -1 and -(1 + 2e-12), a relative gap below GAP_TOL
+    mats = build_matrices(StringSpec([1.0, 1e12, 1.0], [1.0, 1.0]))
+    with pytest.raises(DegenerateSpectrumError, match="relative gap 2.000e-12 between modes 1 and 2"):
+        compute_spectral_data(mats)
 
 
 def test_spectral_data_uniform_two():
