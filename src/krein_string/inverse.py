@@ -28,9 +28,10 @@ kernel to thin blocks.  The range finder is blocked and incremental
 narrow to hold the rank cut, new Gaussian columns are sketched against it,
 orthogonalized to it twice, and appended, and the kernel is never applied
 to the old columns again.  This is the only factorization: no (n+1)^2 array
-is formed, and a numerical rank that a basis of an eighth of the grid cannot
-hold (a noise floor above the threshold, or too few steps per mass) raises
-``RankError``.
+is formed.  On grids under 16 steps the first block spans the grid and its
+pairs are exact; on longer grids a numerical rank that a basis of an eighth
+of the grid cannot hold (a noise floor above the threshold, or too few steps
+per mass) raises ``RankError``.
 """
 
 from __future__ import annotations
@@ -209,11 +210,12 @@ class ConnectorFactorization:
     Rayleigh-Ritz on the grown basis applies the kernel to the new columns
     only.  ``singular_values`` then holds the basis' Ritz values, largest
     first.  The width may reach ``MAX_BASIS_FRACTION`` of the n+1 grid nodes,
-    or one block if that is more; on grids under 16 steps the first block
-    spans the whole grid, and its Ritz pairs are the exact eigenpairs.  A
-    basis that would grow past that cap means a rank near n, and raises
-    ``RankError`` naming the basis width, how many of its Ritz values fell
-    below the floor, and the grid size.
+    or one block if that is more.  On grids under 16 steps the first block
+    spans the whole grid, so it is returned at once, whatever the rank: its
+    Ritz pairs are the exact eigenpairs.  On a longer grid, a basis that
+    would grow past the cap means a rank near n, and raises ``RankError``
+    naming the basis width, how many of its Ritz values fell below the
+    floor, and the grid size.
     """
 
     def __init__(self, connector: DiscretizedConnector, reg: Regularization | None = None):
@@ -255,7 +257,7 @@ class ConnectorFactorization:
             top = magnitude.max()
             width = len(ritz)
             below = np.count_nonzero(magnitude < floor * top)
-            if top == 0.0 or below >= width // 2:
+            if top == 0.0 or below >= width // 2 or width == size:
                 return ritz, basis @ coords
             if 2 * width > cap:
                 raise RankError(

@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import hankel, toeplitz
 
 from krein_string import (
@@ -44,17 +43,8 @@ def dense_kernel(connector):
     """The dense (n+1)^2 kernel K[i, j] = scale (P[2n-i-j] - P[|i-j|]), the
     reference for the FFT apply and the factorization."""
     n = connector.grid.n_steps
-    cumulative = connector.cumulative
-    # c(t_i, t_j) indexes the antiderivative at 2n-i-j (Hankel part) and
-    # |i-j| (Toeplitz part); both indices are symmetric in (i, j), so the
-    # kernel is exactly symmetric
-    hankel_part = sliding_window_view(cumulative[::-1], n + 1)
-    toeplitz_part = sliding_window_view(
-        np.concatenate((cumulative[n:0:-1], cumulative[: n + 1])), n + 1
-    )[::-1]
-    kernel = np.subtract(hankel_part, toeplitz_part)
-    kernel *= connector.scale
-    return kernel
+    c = connector.cumulative
+    return connector.scale * (hankel(c[2 * n :: -1][: n + 1], c[n::-1]) - toeplitz(c[: n + 1]))
 
 
 def dense_oracle(connector, threshold):
@@ -214,6 +204,17 @@ def test_factorization_matches_dense_oracle(rng):
             expected = solve(rhs)
             values, _ = fact.solve(rhs)
             assert np.max(np.abs(values - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("steps", [4, 5, 7, 12, 15])
+def test_complete_basis_matches_dense_oracle_under_noise(rng, steps):
+    # under 16 steps the first block spans the grid; a noise floor leaves
+    # fewer than half of its Ritz values below the floor, and the basis must
+    # stop there with the exact pairs instead of growing past the grid
+    connector, rhs = random_connector(rng, 4, steps, noise=1e-3)
+    fact = ConnectorFactorization(connector)
+    assert len(fact.singular_values) == steps + 1
+    assert_matches_dense_oracle(fact, connector, rhs, 1e-8, 1e-8)
 
 
 def test_factorization_full_basis_limit(rng):
