@@ -54,7 +54,6 @@ from .inverse import (
 )
 from .bessel import bessel_j, bessel_j_grid, bessel_j_ladder
 from .uniform import (
-    QuadratureControls,
     TestFunction,
     chebyshev_u,
     delta_solution,

@@ -255,18 +255,19 @@ def _cmd_roundtrip(args, config: RunConfig) -> int:
 
 def _cmd_uniform_sweep(args, config: RunConfig) -> int:
     ns = [int(tok) for tok in args.N.split(",") if tok.strip()]
+    if not ns or min(ns) < 2:
+        raise ValueError(f"--N needs segment counts of at least 2, got {args.N!r}")
     rows = []
     if args.prop == 1:
         # impulse components against the spectral sum, worst case over j and t;
-        # delta_solution is the semi-infinite closed form, so abs_error is the
-        # finite chain's image correction, not a solver error
+        # the closed form is the finite chain's image sum
         for n in ns:
             data = uniform.uniform_eigen(n)
             grid = TimeGrid(horizon=1.0, n_steps=max(4 * n, 64))
             traj = solve_forward_delta(data, 1.0 / n, grid)
             worst = 0.0
-            for j in (1, max(n // 2, 1)):
-                closed = uniform.delta_solution(n, j, grid.times[1:])
+            for j in (1, n // 2):
+                closed = uniform.image_sum(n, j, grid.times[1:])
                 worst = max(worst, float(np.max(np.abs(closed - traj.states[1:, j - 1]))))
             rows.append((n, 0.0, worst, worst))
     elif args.prop in (2, 3):

@@ -195,6 +195,10 @@ def mollified_delta(grid: TimeGrid, width: float, center: float | None = None) -
     default so the pulse is causal on the grid."""
     if center is None:
         center = 5.0 * width
+    if not (np.isfinite(width) and width > 0.0 and np.isfinite(center)):
+        raise ValueError(
+            f"width must be finite and positive and center finite, got {width!r}, {center!r}"
+        )
     t = grid.times
     vals = np.exp(-0.5 * ((t - center) / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
     return Waveform(grid=grid, values=vals)

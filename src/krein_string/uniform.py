@@ -8,17 +8,21 @@ components
     g_j(t) = (2j/t) J_{2j}(2nt) = n (J_{2j-1}(2nt) + J_{2j+1}(2nt)),
 
 and the n-segment chain, fixed at both ends, adds the method-of-images terms:
-u_j(t) = sum_m g_{j+2mn}(t), with g_{-k} = -g_k.
+u_j(t) = sum_m g_{j+2mn}(t), with g_{-k} = -g_k (``image_sum``).
 
 The pairing routines here drive the convergence experiments: the response
 (2/t) J_2(2nt) integrates to one and concentrates at t = 0 as n grows, the
 corrected response n (u_1 - delta) pairs like a derivative at zero, and the
 interpolated impulse solution paired with sine modes approaches sin(kt),
-exposing the emergent unit wave speed.
+exposing the emergent unit wave speed.  The two response pairings take one
+trapezoid in s = 2nt and add its Euler-Maclaurin end term at s = 0
+(``pair_response``); for a Gaussian xi, whose pairing has a closed form,
+they are within 2e-8 of it at n = 8..256.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -84,8 +88,9 @@ def delta_solution(n: int, j: int, t):
     """Semi-infinite-chain impulse component (2j/t) J_{2j}(2nt) at a positive
     time, or at an array of them in one ``bessel_j_grid`` call.
 
-    The n-segment string's component differs from it by the image terms
-    sum_{m != 0} g_{j+2mn}(t), where g_k(t) = (2k/t) J_{2|k|}(2nt).
+    The n-segment string's component adds the image terms
+    sum_{m != 0} g_{j+2mn}(t), where g_k(t) = (2k/t) J_{2|k|}(2nt); see
+    ``image_sum``.
     """
     if not 1 <= j <= n - 1:
         raise ValueError(f"component index {j} outside 1..{n - 1}")
@@ -94,6 +99,25 @@ def delta_solution(n: int, j: int, t):
         raise ValueError("t must be positive")
     values = 2.0 * j / times * bessel_j_grid(2 * j, 2.0 * n * times)
     return float(values[0]) if np.ndim(t) == 0 else values
+
+
+def image_sum(n: int, j: int, times: np.ndarray) -> np.ndarray:
+    """Impulse component u_j of the n-segment chain at an array of positive
+    times: the image sum sum_m g_{j+2mn}(t), whose m = 0 term is
+    ``delta_solution``.
+
+    Pairs m = +-1, +-2, ... are added until the next pair is below 1e-16 at
+    every time.
+    """
+    times = np.asarray(times, dtype=float)
+    x = 2.0 * n * times
+    total = delta_solution(n, j, times)
+    for m in itertools.count(1):
+        above, below = j + 2 * m * n, 2 * m * n - j
+        pair = 2.0 / times * (above * bessel_j_grid(2 * above, x) - below * bessel_j_grid(2 * below, x))
+        if np.max(np.abs(pair)) < 1e-16:
+            return total
+        total += pair
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +136,16 @@ class TestFunction:
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
 
-    def sup_beyond(self, t: float) -> float:
-        return float(self.tail_sup(t))
+
+def _center_width(center: float, width: float) -> tuple[float, float]:
+    c, w = float(center), float(width)
+    if not (math.isfinite(c) and math.isfinite(w) and w > 0.0):
+        raise ValueError(f"center and width must be finite, width > 0; got {c!r}, {w!r}")
+    return c, w
 
 
 def gaussian_bump(center: float, width: float) -> TestFunction:
-    c, w = float(center), float(width)
+    c, w = _center_width(center, width)
 
     def fn(t):
         return np.exp(-0.5 * ((t - c) / w) ** 2)
@@ -132,7 +160,7 @@ def gaussian_bump(center: float, width: float) -> TestFunction:
 
 
 def raised_cosine(center: float, halfwidth: float) -> TestFunction:
-    c, w = float(center), float(halfwidth)
+    c, w = _center_width(center, halfwidth)
 
     def fn(t):
         t = np.asarray(t, dtype=float)
@@ -156,6 +184,8 @@ def raised_cosine(center: float, halfwidth: float) -> TestFunction:
 
 def sine_mode(k: float) -> TestFunction:
     k = float(k)
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k!r}")
     return TestFunction(
         lambda t: np.sin(k * np.asarray(t, dtype=float)),
         lambda t: k * np.cos(k * np.asarray(t, dtype=float)),
@@ -186,7 +216,7 @@ def parse_test_function(descriptor: str) -> TestFunction:
         if name == "one":
             return constant_one()
     except ValueError as exc:
-        raise ValueError(f"bad test-function arguments in {descriptor!r}") from exc
+        raise ValueError(f"bad test-function arguments in {descriptor!r}: {exc}") from exc
     raise ValueError(f"unknown test function {name!r}")
 
 
@@ -194,77 +224,65 @@ def parse_test_function(descriptor: str) -> TestFunction:
 # Distributional pairings.
 
 
-@dataclass(frozen=True)
-class QuadratureControls:
-    """Truncated-trapezoid settings for the improper pairings."""
-
-    tol: float = 1e-4
-    ds: float = 0.05
-    s_cap: float = 5e5
-    max_refinements: int = 2
-    refine_tol: float = 1e-8
+# Trapezoid step and the largest truncation point of the pairings, in s = 2nt.
+_DS = 0.05
+_S_CAP = 5e5
 
 
 @dataclass(frozen=True)
 class PairingResult:
     value: float
     truncation_bound: float
-    s_max: float
-
-    def __float__(self):
-        return self.value
 
 
 def _truncation_bound(n: int, xi: TestFunction, s_max: float) -> float:
     # tail of int (2/s)|J_2(s)| |xi(s/2n)| ds, with |J_2| <= 0.9/sqrt(s)
-    return 4.0 * _J2_ENVELOPE * xi.sup_beyond(s_max / (2.0 * n)) / math.sqrt(s_max)
+    return 4.0 * _J2_ENVELOPE * float(xi.tail_sup(s_max / (2.0 * n))) / math.sqrt(s_max)
 
 
-def _pair_on_window(n: int, xi: TestFunction, s_max: float, ds: float) -> float:
-    m = max(int(math.ceil(s_max / ds)), 8)
-    s = np.linspace(0.0, s_max, m + 1)
-    g = np.zeros_like(s)
-    g[1:] = (2.0 / s[1:]) * bessel_j_grid(2, s[1:]) * xi(s[1:] / (2.0 * n))
-    return float(np.trapezoid(g, s))
-
-
-def pair_response(n: int, xi: TestFunction, quad: QuadratureControls | None = None) -> PairingResult:
+def pair_response(n: int, xi: TestFunction, tol: float = 1e-4) -> PairingResult:
     """<r_n, xi> = int_0^inf (2/t) J_2(2nt) xi(t) dt after the substitution
-    s = 2nt, truncated where the documented tail bound drops below tol."""
-    quad = quad or QuadratureControls()
+    s = 2nt, truncated at the first s_max where the documented tail bound
+    drops below tol (``TruncationError`` if none does up to s = 5e5).
+
+    One trapezoid of g(s) = (2/s) J_2(s) xi(s/2n) on [0, s_max] at the step
+    h = s_max/m <= 0.05, plus the end term xi(0) (h^2/48 + h^4/5760).  By
+    Euler-Maclaurin the trapezoid exceeds the integral by
+    (h^2/12)(g'(s_max) - g'(0)) - (h^4/720)(g'''(s_max) - g'''(0)) + O(h^6),
+    and (2/s) J_2(s) = s/4 - s^3/48 + ... gives g'(0) = xi(0)/4 and
+    g'''(0) = -xi(0)/8 + O(1/n^2), so the end term removes both terms at
+    s = 0.  The h^4 one is about 1e-9, but the corrected response multiplies
+    it by n.  The terms at s_max are left out: g'(s_max) is of order
+    sup xi / s_max^(3/2), so (h^2/12) g'(s_max) sits below the tail bound by
+    a factor of about h^2/s_max.
+    """
     s_max = 20.0
-    while _truncation_bound(n, xi, s_max) > quad.tol:
+    while _truncation_bound(n, xi, s_max) > tol:
         s_max *= 1.5
-        if s_max > quad.s_cap:
+        if s_max > _S_CAP:
             raise TruncationError(
                 f"tail bound {_truncation_bound(n, xi, s_max):.3e} still above "
-                f"tol={quad.tol:.1e} at s_max={s_max:.3e}"
+                f"tol={tol:.1e} at s_max={s_max:.3e}"
             )
-    ds = quad.ds
-    value = _pair_on_window(n, xi, s_max, ds)
-    for _ in range(quad.max_refinements):
-        refined = _pair_on_window(n, xi, s_max, ds / 2.0)
-        converged = abs(refined - value) <= quad.refine_tol
-        value, ds = refined, ds / 2.0
-        if converged:
-            break
-    return PairingResult(value=value, truncation_bound=_truncation_bound(n, xi, s_max), s_max=s_max)
+    m = math.ceil(s_max / _DS)
+    h = s_max / m
+    s = np.linspace(0.0, s_max, m + 1)[1:]
+    g = (2.0 / s) * bessel_j_grid(2, s) * xi(s / (2.0 * n))
+    end = float(xi(0.0)) * (h**2 / 48.0 + h**4 / 5760.0)
+    # the trapezoid's first node is g(0) = 0
+    value = h * (float(np.sum(g)) - 0.5 * float(g[-1])) + end
+    return PairingResult(value=value, truncation_bound=_truncation_bound(n, xi, s_max))
 
 
-def pair_corrected_response(
-    n: int, xi: TestFunction, quad: QuadratureControls | None = None
-) -> PairingResult:
+def pair_corrected_response(n: int, xi: TestFunction, tol: float = 1e-7) -> PairingResult:
     """Pairing of the corrected response n (u_1 - delta) with xi.
 
     Converges to xi'(0), the pairing with -delta', as n grows.
     """
-    quad = quad or QuadratureControls(tol=1e-7)
-    base = pair_response(n, xi, quad)
-    xi0 = float(xi(0.0))
+    base = pair_response(n, xi, tol)
     return PairingResult(
-        value=n * (base.value - xi0),
+        value=n * (base.value - float(xi(0.0))),
         truncation_bound=n * base.truncation_bound,
-        s_max=base.s_max,
     )
 
 

@@ -7,7 +7,8 @@ measured quantity so a failure is diagnosable from the log alone.
 Criterion 4 compares the finite-chain impulse solution with its Bessel closed
 form at 1e-8 over t in (0, 1].  ``delta_solution`` is the closed form of the
 semi-infinite chain; the N-segment chain, fixed at both ends, adds the
-method-of-images terms, so the reference is the image sum built on it.
+method-of-images terms, so the reference is the image sum built on it.  One
+more test holds the library's ``image_sum`` to that reference.
 """
 
 import time
@@ -17,7 +18,7 @@ import numpy as np
 import krein_string as ks
 from krein_string.cli import main as cli_main
 from krein_string.inverse import ConnectorFactorization
-from krein_string.uniform import QuadratureControls, constant_one, gaussian_bump
+from krein_string.uniform import constant_one, gaussian_bump, image_sum
 
 from conftest import random_spec
 
@@ -150,6 +151,15 @@ def image_correction(n: int, j: int, times: np.ndarray, max_pairs: int = 4) -> n
     raise AssertionError(f"image sum for N={n}, j={j} not converged within {max_pairs} pairs")
 
 
+def test_image_sum_matches_the_scalar_reference():
+    # the library's vectorized sum, which uniform-sweep --prop 1 compares with
+    for n in (4, 8, 16, 64):
+        times = np.linspace(0.0, 1.0, 4 * n + 1)[1:]
+        for j in range(1, n):
+            reference = ks.delta_solution(n, j, times) + image_correction(n, j, times)
+            assert np.max(np.abs(image_sum(n, j, times) - reference)) <= 1e-14
+
+
 def test_criterion_4_impulse_closed_form():
     """Impulse solver against the finite chain's Bessel closed form.
 
@@ -194,9 +204,7 @@ def test_criterion_5_response_concentration():
     integral_err = 0.0
     bound_worst = 0.0
     for n in (8, 16, 32, 64):
-        res = ks.pair_response(
-            n, constant_one(), QuadratureControls(tol=0.02, ds=0.1, max_refinements=1)
-        )
+        res = ks.pair_response(n, constant_one(), tol=0.02)
         integral_err = max(integral_err, abs(res.value - 1.0))
         bound_worst = max(bound_worst, res.truncation_bound)
 

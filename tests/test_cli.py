@@ -247,6 +247,38 @@ def test_uniform_sweep_command(tmp_path):
     assert rows[0, 3] > rows[1, 3]  # error shrinks with N
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uniform-sweep", "--prop", "2", "--N", "0"],
+        ["uniform-sweep", "--prop", "3", "--N", "8,0"],
+        ["uniform-sweep", "--prop", "2", "--N", "-4"],
+        ["uniform-sweep", "--prop", "3", "--N", "-4"],
+        ["uniform-sweep", "--prop", "4", "--N", "0"],
+        ["uniform-sweep", "--prop", "4", "--N", "1"],
+        ["uniform-sweep", "--prop", "1", "--N", "1"],
+        ["uniform-sweep", "--prop", "2", "--N", ","],
+        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "gauss:0.0,0"],
+        ["uniform-sweep", "--prop", "3", "--N", "8", "--xi", "gauss:0.0,0"],
+        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "gauss:nan,0.3"],
+        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "gauss:0.0,inf"],
+        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "rcos:0.1,0"],
+        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "rcos:0.1,-0.2"],
+        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "sine:nan"],
+        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "gauss:0.3,0"],
+        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:0"],
+        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:-0.02"],
+        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:nan"],
+    ],
+    ids=" ".join,
+)
+def test_bad_sweep_and_control_inputs_are_config_errors(argv, tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    assert run(*(arg.format(spec=spec_file) for arg in argv), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error_code=2 ")
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path, spec_file, capsys):
     bad_spec = tmp_path / "bad.txt"
     bad_spec.write_text("lengths=0.5,-0.5\nmasses=1.0\n", encoding="utf-8")

@@ -15,7 +15,8 @@ from krein_string import (
     uniform_eigen,
     uniform_spec,
 )
-from krein_string.uniform import QuadratureControls, constant_one, gaussian_bump
+from krein_string.cli import main
+from krein_string.uniform import constant_one, gaussian_bump
 
 
 def test_uniform_spec_values():
@@ -136,21 +137,39 @@ def test_parse_test_function():
 
 
 def test_pair_response_unit_mass():
-    res = pair_response(16, constant_one(), QuadratureControls(tol=0.02, ds=0.1, max_refinements=1))
+    res = pair_response(16, constant_one(), tol=0.02)
     assert res.value == pytest.approx(1.0, abs=0.02)
     assert res.truncation_bound <= 0.02
 
 
+def gauss_pairing(n: int, width: float) -> float:
+    """Closed form of int_0^inf (2/t) J_2(2nt) exp(-t^2 / 2w^2) dt, which is
+    1 - (1 - e^-x)/x with x = 2 n^2 w^2 (checked against mpmath quadrature
+    at 30 digits to 1e-15)."""
+    x = 2.0 * n * n * width * width
+    return 1.0 - (1.0 - np.exp(-x)) / x
+
+
 def test_pair_response_against_time_domain_oracle():
-    # independent t-space quadrature of (2/t) J_2(16 t) xi(t), frozen offline
-    res = pair_response(8, gaussian_bump(0.0, 0.3))
-    assert res.value == pytest.approx(0.913195306247249, abs=2e-5)
+    for n in (8, 16, 32, 64, 128, 256):
+        res = pair_response(n, gaussian_bump(0.0, 0.3))
+        assert res.value == pytest.approx(gauss_pairing(n, 0.3), abs=1e-7)
+
+
+def test_corrected_response_against_closed_form(tmp_path):
+    # prop 3 through the CLI: n (<r_n, xi> - 1) = -n (1 - e^-x)/x, which the
+    # pairing's end term must hold to 1e-3 relative as n multiplies its error
+    out = tmp_path / "out"
+    assert main(["uniform-sweep", "--prop", "3", "--N", "256,1024,4096", "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "uniform_prop3.csv", delimiter=",", skiprows=2)
+    for n, value in zip((256, 1024, 4096), rows[:, 2]):
+        assert value == pytest.approx(n * (gauss_pairing(n, 0.3) - 1.0), rel=1e-3)
 
 
 def test_pair_response_truncation_error():
     # a non-decaying test function cannot meet a tight tail tolerance
     with pytest.raises(TruncationError):
-        pair_response(8, constant_one(), QuadratureControls(tol=1e-6, s_cap=1e4))
+        pair_response(8, constant_one(), tol=1e-6)
 
 
 def test_pair_response_concentrates_at_zero():
