@@ -272,6 +272,13 @@ def _cmd_uniform_sweep(args, config: RunConfig) -> int:
             rows.append((n, 0.0, worst, worst))
     elif args.prop in (2, 3):
         xi = uniform.parse_test_function(args.xi)
+        if args.xi.partition(":")[0] not in ("gauss", "rcos"):
+            # the pairing's tail bound is sup|xi| times int |J_2(s)|/s, which
+            # never falls below tol for a test function that does not decay
+            raise ValueError(
+                f"--prop {args.prop} needs a test function that decays away from "
+                f"t = 0, gauss or rcos; got {args.xi!r}"
+            )
         if args.prop == 2:
             target = float(xi(0.0))
             for n in ns:

@@ -24,14 +24,15 @@ quadrature-weighted kernel.  Because the kernel has rank N-1, that
 decomposition is computed from a seeded randomized block range finder
 (Halko, Martinsson & Tropp, SIAM Review 53, 2011) that only applies the
 kernel to thin blocks.  The range finder is blocked and incremental
-(Martinsson & Voronin, SIAM J. Sci. Comput. 38, 2016): when its basis is too
-narrow to hold the rank cut, new Gaussian columns are sketched against it,
-orthogonalized to it twice, and appended, and the kernel is never applied
-to the old columns again.  This is the only factorization: no (n+1)^2 array
-is formed.  On grids under 16 steps the first block spans the grid and its
-pairs are exact; on longer grids a numerical rank that a basis of an eighth
-of the grid cannot hold (a noise floor above the threshold, or too few steps
-per mass) raises ``RankError``.
+(Martinsson & Voronin, SIAM J. Sci. Comput. 38, 2016): it starts from 8
+columns, and when its basis is too narrow to hold the rank cut, it grows to
+twice the rank it has seen so far: new Gaussian columns are sketched against
+it, orthogonalized to it twice, and appended, and the kernel is never
+applied to the old columns again.  This is the only factorization: no
+(n+1)^2 array is formed.  On grids under 16 steps the basis may grow to span
+the grid, and then its pairs are exact; on longer grids a numerical rank
+that a basis of an eighth of the grid cannot hold (a noise floor above the
+threshold, or too few steps per mass) raises ``RankError``.
 """
 
 from __future__ import annotations
@@ -46,13 +47,15 @@ from .forward import TimeGrid, Waveform
 
 A_DIVISION_GUARD = 1e-10
 
-# Randomized range finder: starting block width, power passes per block, the
-# fixed sketch seed (reruns stay byte-identical), and the largest fraction of
-# the grid nodes the basis may span (never less than one block); a rank that
-# needs more is a noise floor above the threshold, not a string.
-SKETCH_BLOCK = 16
+# Randomized range finder: starting block width, power passes per block and
+# the fixed sketch seed (reruns stay byte-identical).  A growth is refused when
+# its width, rounded up to the doubling schedule CAP_BLOCK, 2 CAP_BLOCK, ...,
+# passes MAX_BASIS_FRACTION of the grid nodes (or CAP_BLOCK, if that is more):
+# a rank that needs more is a noise floor above the threshold, not a string.
+SKETCH_BLOCK = 8
 SKETCH_POWER_PASSES = 2
 SKETCH_SEED = 20110
+CAP_BLOCK = 16
 MAX_BASIS_FRACTION = 1.0 / 8.0
 
 
@@ -202,20 +205,19 @@ class ConnectorFactorization:
     re-orthonormalized after each, and a Rayleigh-Ritz step.  The basis
     grows until at least half of its Ritz values fall below the bottom of
     the tie-break band, ``threshold / 10 * sigma_max``, so the cut and its
-    gap lie inside it.  Each growth doubles the width (16, 32, 64, ...):
-    as many new Gaussian columns as the basis holds, drawn from the same
-    seeded stream, get the same apply and power passes, and after every
-    apply they are re-orthogonalized against the basis by projecting, QR,
-    projecting and QR again.  The basis and its image D K D Q are kept, so
-    Rayleigh-Ritz on the grown basis applies the kernel to the new columns
-    only.  ``singular_values`` then holds the basis' Ritz values, largest
-    first.  The width may reach ``MAX_BASIS_FRACTION`` of the n+1 grid nodes,
-    or one block if that is more.  On grids under 16 steps the first block
-    spans the whole grid, so it is returned at once, whatever the rank: its
-    Ritz pairs are the exact eigenpairs.  On a longer grid, a basis that
-    would grow past the cap means a rank near n, and raises ``RankError``
+    gap lie inside it.  Each growth widens the basis to twice the number of
+    Ritz values at or above that floor, at most the n+1 grid nodes: the new
+    Gaussian columns, drawn from the same seeded stream, get the same apply
+    and power passes, and after every apply they are re-orthogonalized
+    against the basis by projecting, QR, projecting and QR again.  The basis
+    and its image D K D Q are kept, so Rayleigh-Ritz on the grown basis
+    applies the kernel to the new columns only.  ``singular_values`` then
+    holds the basis' Ritz values, largest first.  A basis that spans the
+    grid is returned at once, whatever the rank: its Ritz pairs are exact.
+    A growth whose width, rounded up to ``CAP_BLOCK``, 2 ``CAP_BLOCK``, ...,
+    passes the rank cap means a rank near n, and raises ``RankError``
     naming the basis width, how many of its Ritz values fell below the
-    floor, and the grid size.
+    floor, and the grid size; on grids under 16 steps none is refused.
     """
 
     def __init__(self, connector: DiscretizedConnector, reg: Regularization | None = None):
@@ -239,7 +241,7 @@ class ConnectorFactorization:
         size = len(self._sqrt_w)
         rng = np.random.default_rng(SKETCH_SEED)
         floor = self.reg.threshold / 10.0
-        cap = max(int(MAX_BASIS_FRACTION * size), SKETCH_BLOCK)
+        cap = max(int(MAX_BASIS_FRACTION * size), CAP_BLOCK)
         basis = image = None
         grow = SKETCH_BLOCK
         while True:
@@ -259,16 +261,20 @@ class ConnectorFactorization:
             below = np.count_nonzero(magnitude < floor * top)
             if top == 0.0 or below >= width // 2 or width == size:
                 return ritz, basis @ coords
-            if 2 * width > cap:
+            target = min(2 * (width - below), size)
+            scheduled = CAP_BLOCK
+            while scheduled < target:
+                scheduled *= 2
+            if scheduled > cap:
                 raise RankError(
                     f"connector rank is near the grid size: {below} of the {width} Ritz "
                     f"values of the sketch basis fall below threshold/10 * sigma_max "
-                    f"= {floor * top:.3e}, fewer than half, and {2 * width} columns "
+                    f"= {floor * top:.3e}, fewer than half, and {scheduled} columns "
                     f"would pass the rank cap of {cap} on the {size - 1}-step grid; "
                     f"raise --threshold above the noise floor, or --steps if the grid "
                     f"has too few steps per mass"
                 )
-            grow = width
+            grow = target - width
 
     @staticmethod
     def _orthonormalize(block: np.ndarray, basis: np.ndarray | None) -> np.ndarray:

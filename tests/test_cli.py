@@ -279,6 +279,30 @@ def test_bad_sweep_and_control_inputs_are_config_errors(argv, tmp_path, spec_fil
     assert not out.exists()
 
 
+@pytest.mark.parametrize("prop", ["2", "3"])
+@pytest.mark.parametrize("xi", ["sine:1", "one"])
+def test_sweep_refuses_a_test_function_that_does_not_decay(
+    prop, xi, tmp_path, spec_file, capsys, monkeypatch
+):
+    # the pairing's tail bound never falls below tol for these, so the sweep
+    # refuses them before any pairing runs instead of failing at s = 5e5
+    def pairing(*args, **kwargs):
+        raise AssertionError("a pairing ran")
+
+    monkeypatch.setattr("krein_string.uniform.pair_response", pairing)
+    monkeypatch.setattr("krein_string.uniform.pair_corrected_response", pairing)
+    out = tmp_path / "out"
+    assert run("uniform-sweep", "--prop", prop, "--N", "8", "--xi", xi, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error_code=2 detail=--prop {prop} needs a test function that decays "
+        f"away from t = 0, gauss or rcos; got '{xi}'\n"
+    )
+    assert not out.exists()
+    # the forward control still takes both
+    control = ("forward", "--spec", spec_file, "--T", "1.0", "--steps", "800", "--control", xi)
+    assert run(*control, "--out", str(out)) == 0
+
+
 def test_exit_codes(tmp_path, spec_file, capsys):
     bad_spec = tmp_path / "bad.txt"
     bad_spec.write_text("lengths=0.5,-0.5\nmasses=1.0\n", encoding="utf-8")

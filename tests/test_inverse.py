@@ -208,9 +208,10 @@ def test_factorization_matches_dense_oracle(rng):
 
 @pytest.mark.parametrize("steps", [4, 5, 7, 12, 15])
 def test_complete_basis_matches_dense_oracle_under_noise(rng, steps):
-    # under 16 steps the first block spans the grid; a noise floor leaves
-    # fewer than half of its Ritz values below the floor, and the basis must
-    # stop there with the exact pairs instead of growing past the grid
+    # under 16 steps no growth passes the cap; a noise floor leaves fewer than
+    # half of the Ritz values below the floor, so the basis grows to span the
+    # grid (under 8 steps the first block does) and must stop there with the
+    # exact pairs instead of growing past it
     connector, rhs = random_connector(rng, 4, steps, noise=1e-3)
     fact = ConnectorFactorization(connector)
     assert len(fact.singular_values) == steps + 1
@@ -230,6 +231,24 @@ def test_factorization_full_basis_limit(rng):
     assert "--threshold" in message and "--steps" in message
 
 
+@pytest.mark.parametrize(
+    "segments, steps, horizon, draw, cap",
+    [
+        (12, 200, 1.0, 0, "rank cap of 25 on the 200-step grid"),
+        (20, 500, 1.5, 2, "rank cap of 62 on the 500-step grid"),
+    ],
+)
+def test_refusal_follows_the_doubling_schedule(segments, steps, horizon, draw, cap):
+    # two survey strings whose next basis (22 and 38 columns) fits under the
+    # cap, but not once rounded up to 16, 32, 64, ...; let through at their
+    # own width, they came back with relative errors of 29.8 and 448
+    rng = np.random.default_rng([7, segments, steps, int(10 * horizon), draw, ord("A")])
+    spec = StringSpec(rng.uniform(0.5, 1.0, segments), rng.uniform(0.5, 1.0, segments - 1))
+    grid = TimeGrid(horizon * spec.total_length, steps)
+    with pytest.raises(RankError, match=cap):
+        recover_string(exact_response(spec, grid), float(spec.lengths[0]), grid)
+
+
 def assert_matches_dense_oracle(fact, connector, rhs, threshold, solve_tol):
     sv, rank, solve = dense_oracle(connector, threshold)
     assert fact.rank == rank
@@ -241,8 +260,9 @@ def assert_matches_dense_oracle(fact, connector, rhs, threshold, solve_tol):
 
 
 def test_grown_block_matches_dense_oracle_random(rng):
-    # ranks 9-11 leave fewer than half of a 16-wide block below the floor, so
-    # the block grows to 32 and the new columns must stay orthogonal to the old
+    # ranks 9-11 (fewer with the noisy cut) leave fewer than half of the 8-wide
+    # first block below the floor, so the basis grows to twice the values above
+    # it, once or twice, and the new columns must stay orthogonal to the old
     widths = []
     for n_segments in (10, 11, 12):
         for noise, threshold in ((0.0, 1e-8), (1e-6, 1e-4)):
@@ -250,13 +270,14 @@ def test_grown_block_matches_dense_oracle_random(rng):
             fact = ConnectorFactorization(connector, Regularization(threshold=threshold))
             assert_matches_dense_oracle(fact, connector, rhs, threshold, 1e-8)
             widths.append(len(fact.singular_values))
-    assert widths == [32, 16, 32, 16, 32, 32]
+    assert widths == [18, 16, 20, 14, 22, 20]
 
 
-@pytest.mark.parametrize("n_masses, steps, width", [(16, 800, 32), (32, 800, 64), (64, 1100, 128)])
+@pytest.mark.parametrize("n_masses, steps, width", [(16, 800, 28), (32, 800, 50), (64, 1100, 92)])
 def test_grown_block_matches_dense_oracle_uniform(n_masses, steps, width):
-    # the uniform chain at T=1 has rank 14, 25 and 46: the block grows one to
-    # three times, and at N=64 it must not give way to the full eigendecomposition
+    # the uniform chain at T=1 has rank 14, 25 and 46: the basis grows from 8
+    # columns to twice the values above the floor, and at N=64 it must not give
+    # way to the full eigendecomposition
     grid = TimeGrid(1.0, steps)
     r = exact_response(uniform_spec(n_masses), grid)
     rhs = r.values[(steps - np.arange(steps + 1)) * 8]
@@ -354,10 +375,10 @@ def test_recover_single_mass():
     assert result.diagnostics.l1_estimate == pytest.approx(0.5, abs=1e-2)
 
 
-@pytest.mark.parametrize("steps, width", [(6, 7), (40, 16)])
+@pytest.mark.parametrize("steps, width", [(6, 7), (40, 8)])
 def test_recover_single_mass_on_short_grids(steps, width):
-    # under 16 steps the one sketch block spans the whole grid, so its Ritz
-    # pairs are exact; under 128 steps the basis is one 16-column block
+    # under 8 steps the one sketch block spans the whole grid, so its Ritz
+    # pairs are exact; at 40 steps rank 1 stops the basis at one 8-column block
     grid = TimeGrid(1.0, steps)
     result = recover_string(exact_response(SINGLE, grid), 0.5, grid)
     assert len(result.diagnostics.singular_values) == width
