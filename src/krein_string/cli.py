@@ -3,15 +3,26 @@
 Every output file opens with a comment echoing the full configuration as
 the command line that reruns it, and reruns with the same configuration
 produce byte-identical files.  Floats are written with shortest round-trip
-precision (``repr``), index columns as ints.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure, 4 I/O failure.
+precision (``repr``), index columns as ints.  A long table is formatted in
+P contiguous row ranges, P = min(CPUs the process may use,
+fields // ``_MIN_PART_FIELDS``) and at least 1: where ``os.fork`` and
+``os.sched_getaffinity`` exist, a forked child formats each range after the
+first into a temporary file and does nothing else, and the bytes are the
+same for every P.  Python 3.12 and later issue a ``DeprecationWarning`` for
+that ``fork()``, since numpy's OpenBLAS threads are running.  Exit codes:
+0 success, 2 configuration error, 3 numerical failure, 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import shlex
+import shutil
 import sys
+import tempfile
+from collections.abc import Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -50,6 +61,12 @@ EXIT_IO = 4
 # as Python floats or text.
 _BLOCK_ROWS = 1024
 
+# Fewest fields a part is given.  On a 2-CPU VM, forking and reaping a child
+# costs 2-6 ms in a process with numpy and scipy loaded (more as its memory
+# grows) and formatting 2**14 fields takes 10-15 ms; a table written in two
+# parts broke even near 2**13 fields, so 2**14 a part leaves a margin.
+_MIN_PART_FIELDS = 2**14
+
 _CONFIG_ERRORS = (SpecError, GridError, ValueError)
 # LinAlgError subclasses ValueError, so main() must test this tuple first
 _NUMERICAL_ERRORS = (
@@ -86,26 +103,92 @@ class RunConfig:
         return " ".join(parts)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_rows(fh, rows) -> None:
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        fh.writelines([",".join(map(repr, row)) + "\n" for row in block])
+
+
 def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
     """Write the echo line, the header and then ``rows``, an iterable of rows
     of plain Python ints and floats (build them with ``tolist()``), so
     ``repr`` writes what ``_fmt`` would; an ``np.float64`` would not.  Rows
     are formatted and written ``_BLOCK_ROWS`` at a time, so a generator of
-    rows is never held whole; the bytes are those of one join of all lines."""
+    rows is never held whole; the bytes are those of one join of all lines.
+
+    Rows given as a ``Sequence`` (a list, ``_TableRows``) are cut into P
+    contiguous parts, P = min(usable CPUs, fields // ``_MIN_PART_FIELDS``)
+    and at least 1.  A forked child formats each part after the first into
+    an anonymous temporary file and leaves through ``os._exit``, while this
+    process writes the first part; the others are appended in order once
+    every child is reaped.  A child that fails makes this raise ``OSError``.
+    """
+    parts = [rows]
+    if isinstance(rows, Sequence):
+        fields = len(rows) * len(header)
+        n_parts = max(1, min(_usable_cpus(), fields // _MIN_PART_FIELDS))
+        cuts = [len(rows) * k // n_parts for k in range(n_parts + 1)]
+        parts = [rows[a:b] for a, b in zip(cuts, cuts[1:])]
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = iter(rows)
-    with open(path, "w", encoding="utf-8") as fh:
+    with ExitStack() as stack:
+        fh = stack.enter_context(open(path, "w", encoding="utf-8"))
         fh.write(f"# {config.echo()}\n{','.join(header)}\n")
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            fh.writelines([",".join(map(repr, row)) + "\n" for row in block])
+        spills, pids = [], []
+        try:
+            for part in parts[1:]:
+                spill = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+                spills.append(spill)
+                pid = os.fork()
+                if pid == 0:
+                    # the child only formats and writes its part: os._exit
+                    # flushes no inherited buffer and runs no caller code
+                    code = 1
+                    try:
+                        _write_rows(spill, part)
+                        spill.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            _write_rows(fh, parts[0])
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        if any(codes):
+            raise OSError(f"{path}: formatting rows in a child process failed, exit codes {codes}")
+        for spill in spills:
+            spill.seek(0)
+            shutil.copyfileobj(spill, fh)
 
 
-def _table_rows(times: np.ndarray, values: np.ndarray):
+class _TableRows(Sequence):
     """Rows (t_j, values[j]...) as plain Python floats, ``tolist()`` of one
-    block of ``_BLOCK_ROWS`` at a time."""
-    for start in range(0, len(times), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        yield from np.column_stack([times[block], values[block]]).tolist()
+    block of ``_BLOCK_ROWS`` at a time.  A slice is a view of the same
+    arrays, so a table is cut into parts without being held whole."""
+
+    def __init__(self, times: np.ndarray, values: np.ndarray):
+        self._times = times
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _TableRows(self._times[index], self._values[index])
+        start = range(len(self))[index]
+        return next(iter(self[start : start + 1]))
+
+    def __iter__(self):
+        for start in range(0, len(self), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            yield from np.column_stack([self._times[block], self._values[block]]).tolist()
 
 
 def _control_waveform(descriptor: str, grid: TimeGrid) -> Waveform:
@@ -144,7 +227,7 @@ def _cmd_forward(args, config: RunConfig) -> int:
             control = _control_waveform(args.control, grid)
             traj = solve_forward_spectral(mats, data, control, l1)
     header = ["t"] + [f"u_{i + 1}" for i in range(mats.order)]
-    rows = _table_rows(grid.times, traj.states)
+    rows = _TableRows(grid.times, traj.states)
     _write_csv(Path(args.out) / "trajectory.csv", config, header, rows)
     return EXIT_OK
 
@@ -154,7 +237,7 @@ def _cmd_response(args, config: RunConfig) -> int:
     data = compute_spectral_data(build_matrices(spec))
     grid = TimeGrid(horizon=args.T, n_steps=args.steps)
     r = response_function(data, float(spec.lengths[0]), grid)
-    rows = _table_rows(grid.times, r.values)
+    rows = _TableRows(grid.times, r.values)
     _write_csv(Path(args.out) / "response.csv", config, ["t", "r"], rows)
     return EXIT_OK
 

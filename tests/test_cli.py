@@ -21,7 +21,16 @@ from krein_string import (
     solve_forward_ode,
     solve_forward_spectral,
 )
-from krein_string.cli import _BLOCK_ROWS, RunConfig, _fmt, _write_csv, main
+from krein_string import cli
+from krein_string.cli import (
+    _BLOCK_ROWS,
+    _MIN_PART_FIELDS,
+    RunConfig,
+    _fmt,
+    _TableRows,
+    _write_csv,
+    main,
+)
 from krein_string.uniform import parse_test_function
 
 SPEC_TEXT = "lengths=0.2,0.3,0.5\nmasses=1.0,2.0\n"
@@ -383,27 +392,79 @@ def test_write_csv_writes_what_fmt_writes(tmp_path):
     assert written[1:4] == ["-0.0", "inf", "nan"]
 
 
-@pytest.mark.parametrize("n_rows", [5 * _BLOCK_ROWS // 2, 0])
-def test_write_csv_writes_the_one_shot_bytes(tmp_path, n_rows):
-    # rows are formatted a block at a time; the file is what one join of
-    # every line wrote, over 2.5 blocks and for a header-only table
-    specials = [7, -0.0, 5e-324, 1e16, float("inf")]
-    noise = np.random.default_rng(0).standard_normal((n_rows, 2)).tolist()
-    rows = [[j, specials[j % 5], *pair] for j, pair in enumerate(noise)]
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["iterator", "list", "table"])
+@pytest.mark.parametrize("n_rows", [3 * _MIN_PART_FIELDS // 4 + _BLOCK_ROWS // 2 + 1, 0])
+def test_write_csv_writes_the_one_shot_bytes(tmp_path, monkeypatch, n_rows, kind, cpus):
+    # rows are formatted a block at a time, a sequence of them (a list or a
+    # table's view) in up to one part per usable CPU and an iterator in one;
+    # the file is what one join of every line wrote, over 12.5 blocks in
+    # three parts and for a header-only table
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    special = np.resize([-0.0, 5e-324, 1e16, float("inf"), 7.0], n_rows)
+    values = np.column_stack([special, np.random.default_rng(0).standard_normal((n_rows, 2))])
+    times = np.arange(n_rows) / 8.0
+    listed = [[j, *row] for j, row in enumerate(values.tolist())]
+    rows, expected = {
+        "iterator": (iter(listed), listed),
+        "list": (listed, listed),
+        "table": (_TableRows(times, values), np.column_stack([times, values]).tolist()),
+    }[kind]
     config = RunConfig("unit", {"out": "x"})
     header = ["k", "special", "a", "b"]
     path = tmp_path / "unit.csv"
-    _write_csv(path, config, header, iter(rows))
+    _write_csv(path, config, header, rows)
     lines = [f"# {config.echo()}", ",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows]
+    lines += [",".join(map(repr, row)) for row in expected]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    assert len(forks) == (cpus - 1 if n_rows and kind != "iterator" else 0)
+
+
+def test_write_csv_reaps_every_child_when_a_part_fails(tmp_path, monkeypatch, spec_file, capsys):
+    # three parts; a child whose part raises leaves with a non-zero status,
+    # which is an I/O failure, and a part that raises in this process still
+    # waits for the children: none is left running or unreaped
+    parent = os.getpid()
+    write_rows = cli._write_rows
+
+    def failing(in_child):
+        def write(fh, rows):
+            if (os.getpid() != parent) == in_child:
+                raise RuntimeError("part failed")
+            write_rows(fh, rows)
+
+        return write
+
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    rows = [[float(j)] * 4 for j in range(_MIN_PART_FIELDS)]
+    monkeypatch.setattr(cli, "_write_rows", failing(in_child=True))
+    with pytest.raises(OSError, match="child process failed"):
+        _write_csv(tmp_path / "unit.csv", RunConfig("unit"), ["a", "b", "c", "d"], rows)
+    assert_no_child()
+    # the 3-mass string at 20000 steps is 60003 fields, three parts
+    argv = ["forward", "--spec", spec_file, "--T", "1.0", "--steps", "20000", "--out", str(tmp_path)]
+    assert run(*argv) == 4
+    assert capsys.readouterr().err.startswith("error_code=4 ")
+    assert_no_child()
+    monkeypatch.setattr(cli, "_write_rows", failing(in_child=False))
+    with pytest.raises(RuntimeError, match="part failed"):
+        _write_csv(tmp_path / "unit.csv", RunConfig("unit"), ["a", "b", "c", "d"], rows)
+    assert_no_child()
 
 
 def test_forward_peak_memory(tmp_path):
     # a 24-segment impulse trajectory at 10000 steps is 10001 x 23 floats
     # (1.8 MiB); writing its CSV a block of rows at a time keeps the traced
-    # peak at about twice that (3.7 MiB measured), where the whole table as
-    # Python floats and text took 24.9 MiB
+    # peak of this process at about twice that (3.71 MiB measured, writing
+    # the first of two parts on 2 CPUs; 3.71 MiB on one), where the whole
+    # table as Python floats and text took 24.9 MiB
     rng = np.random.default_rng(24)
     path = tmp_path / "string.txt"
     lengths, masses = rng.uniform(0.2, 1.0, 24).tolist(), rng.uniform(0.2, 1.0, 23).tolist()
