@@ -268,6 +268,9 @@ def _read_response_csv(path: str) -> Waveform:
 def _emit_recovery(out_dir: Path, config: RunConfig, result) -> None:
     diag = result.diagnostics
     n_masses = len(result.recovered_masses)
+    sigma = diag.singular_values
+    # cond_k is the one condition number of the truncated factorization
+    cond = float(sigma[0] / sigma[diag.rank - 1])
     columns = np.column_stack(
         [
             result.recovered_masses,
@@ -275,10 +278,9 @@ def _emit_recovery(out_dir: Path, config: RunConfig, result) -> None:
             result.recovered_a,
             result.recovered_lengths[:n_masses],
             diag.residuals,
-            diag.condition_numbers,
         ]
     )
-    rows = [(k, *row) for k, row in enumerate(columns.tolist(), start=1)]
+    rows = [(k, *row, cond) for k, row in enumerate(columns.tolist(), start=1)]
     _write_csv(
         out_dir / "recovery.csv",
         config,
@@ -287,20 +289,18 @@ def _emit_recovery(out_dir: Path, config: RunConfig, result) -> None:
     )
     with open(out_dir / "recovery.csv", "a", encoding="utf-8") as fh:
         fh.write(f"# l_N={_fmt(result.recovered_lengths[-1])}\n")
-    sv_rows = enumerate(diag.singular_values.tolist(), start=1)
+    sv_rows = enumerate(sigma.tolist(), start=1)
     _write_csv(out_dir / "singular_values.csv", config, ["i", "sigma_i"], sv_rows)
 
 
 def _cmd_invert(args, config: RunConfig) -> int:
     r = _read_response_csv(args.response)
     grid = TimeGrid(horizon=r.grid.horizon / 2.0, n_steps=args.steps)
-    reg = Regularization(threshold=args.threshold, max_residual=args.max_residual)
-    result = recover_string(r, args.l1, grid, reg)
+    result = recover_string(r, args.l1, grid, Regularization(threshold=args.threshold))
     _emit_recovery(Path(args.out), config, result)
     diag = result.diagnostics
     print(
-        f"rank={diag.rank} l1_input={_fmt(diag.l1_input)} "
-        f"l1_estimate={_fmt(diag.l1_estimate)} "
+        f"rank={diag.rank} endpoint_gap={_fmt(diag.endpoint_gap)} "
         f"last_length={_fmt(result.recovered_lengths[-1])}"
     )
     return EXIT_OK
@@ -311,17 +311,15 @@ def _cmd_roundtrip(args, config: RunConfig) -> int:
         raise ValueError(f"noise must be finite and non-negative, got {args.noise!r}")
     spec = read_spec_file(args.spec)
     data = compute_spectral_data(build_matrices(spec))
-    true_l1 = float(spec.lengths[0])
-    l1 = args.l1 if args.l1 is not None else true_l1
+    l1 = float(spec.lengths[0])
     grid = TimeGrid(horizon=args.T, n_steps=args.steps)
     fine = TimeGrid(horizon=2.0 * args.T, n_steps=2 * args.oversample * args.steps)
-    r = response_function(data, true_l1, fine)
+    r = response_function(data, l1, fine)
     if args.noise > 0.0:
         rng = np.random.default_rng(args.seed)
         noisy = r.values + args.noise * rng.standard_normal(len(r.values))
         r = Waveform(grid=fine, values=noisy)
-    reg = Regularization(threshold=args.threshold, max_residual=args.max_residual)
-    result = recover_string(r, l1, grid, reg)
+    result = recover_string(r, l1, grid, Regularization(threshold=args.threshold))
     _emit_recovery(Path(args.out), config, result)
 
     err_m = err_l = np.inf
@@ -425,10 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="recover a string from a response CSV on [0,2T]")
     p.add_argument("--response", required=True)
-    p.add_argument("--l1", type=float, required=True)
+    p.add_argument("--l1", type=float, required=True, help="first segment length: picks the scale")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--threshold", type=float, default=1e-8)
-    p.add_argument("--max-residual", dest="max_residual", type=float, default=5e-2)
     add_common(p)
     p.set_defaults(func=_cmd_invert)
 
@@ -436,12 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--l1", type=float, default=None, help="defaults to the true l_1")
     p.add_argument("--oversample", type=int, default=8)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0, help="seed of the --noise draw")
     p.add_argument("--threshold", type=float, default=1e-8)
-    p.add_argument("--max-residual", dest="max_residual", type=float, default=5e-2)
     add_common(p)
     p.set_defaults(func=_cmd_roundtrip)
 

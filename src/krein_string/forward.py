@@ -29,7 +29,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import GridError, StabilityError
-from .model import StringSpec, SystemMatrices, positions
+from .model import StringSpec, SystemMatrices, _as_readonly, positions
 from .spectral import SpectralData, symmetric_reduction
 
 # Undersampled modal sines silently corrupt the quadrature; hard guard.
@@ -75,12 +75,11 @@ class Waveform:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = _as_readonly(self.values)
         if values.shape != (self.grid.n_steps + 1,):
             raise GridError(
                 f"waveform needs {self.grid.n_steps + 1} samples, got {values.shape}"
             )
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
 
@@ -92,10 +91,9 @@ class Trajectory:
     states: np.ndarray
 
     def __post_init__(self):
-        states = np.array(self.states, dtype=float)
+        states = _as_readonly(self.states)
         if states.ndim != 2 or states.shape[0] != self.grid.n_steps + 1:
             raise GridError("states must be (n_steps+1, n_masses)")
-        states.flags.writeable = False
         object.__setattr__(self, "states", states)
 
 
@@ -145,7 +143,8 @@ def _impulse_response(
     tables are evaluated, about 4 sqrt(n) N transcendentals instead of
     n N; each component folds its coefficients into the coarse tables and
     contracts them with the fine ones, so no (n x N) sine table is built.
-    The result moves from the direct sum by rounding only.
+    The result moves from the direct sum by rounding only.  It is returned
+    read-only, so a ``Trajectory`` keeps it without a copy.
     """
     nu = data.frequencies
     modes = data.modes
@@ -163,6 +162,7 @@ def _impulse_response(
     out = np.empty((len(times), coefficients.shape[1]))
     for j, c in enumerate(coefficients.T):
         out[:, j] = np.einsum("ak,bk->ab", coarse * np.tile(c, 2), fine).ravel()[: len(times)]
+    out.flags.writeable = False
     return out
 
 
@@ -177,6 +177,7 @@ def solve_forward_spectral(
     check_nyquist(data, grid)
     states = causal_convolution(_impulse_response(data, l1, grid), f.values, grid.dt)
     states[0, :] = 0.0
+    states.flags.writeable = False
     return Trajectory(grid=grid, states=states)
 
 
@@ -190,17 +191,13 @@ def solve_forward_delta(data: SpectralData, l1: float, grid: TimeGrid) -> Trajec
     return Trajectory(grid=grid, states=_impulse_response(data, l1, grid))
 
 
-def mollified_delta(grid: TimeGrid, width: float, center: float | None = None) -> Waveform:
-    """Unit-mass Gaussian approximation of delta(t), centered at 5*width by
-    default so the pulse is causal on the grid."""
-    if center is None:
-        center = 5.0 * width
-    if not (np.isfinite(width) and width > 0.0 and np.isfinite(center)):
-        raise ValueError(
-            f"width must be finite and positive and center finite, got {width!r}, {center!r}"
-        )
+def mollified_delta(grid: TimeGrid, width: float) -> Waveform:
+    """Unit-mass Gaussian approximation of delta(t), centered at 5*width so
+    the pulse is causal on the grid."""
+    if not (np.isfinite(width) and width > 0.0):
+        raise ValueError(f"width must be finite and positive, got {width!r}")
     t = grid.times
-    vals = np.exp(-0.5 * ((t - center) / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
+    vals = np.exp(-0.5 * ((t - 5.0 * width) / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
     return Waveform(grid=grid, values=vals)
 
 

@@ -44,8 +44,11 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import GridError, RankError, RecoveryError, SpecError
 from .forward import TimeGrid, Waveform
+from .model import _as_readonly
 
 A_DIVISION_GUARD = 1e-10
+# Largest relative residual a Krein solve may leave before recovery fails.
+MAX_RESIDUAL = 5e-2
 
 # Randomized range finder: starting block width, power passes per block and
 # the fixed sketch seed (reruns stay byte-identical).  A growth is refused when
@@ -61,17 +64,13 @@ MAX_BASIS_FRACTION = 1.0 / 8.0
 
 @dataclass(frozen=True)
 class Regularization:
-    """Truncation threshold (relative to sigma_max) and the largest relative
-    residual a solve may leave before it is reported as failed."""
+    """Truncation threshold, relative to sigma_max."""
 
     threshold: float = 1e-8
-    max_residual: float = 5e-2
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold!r}")
-        if not (np.isfinite(self.max_residual) and self.max_residual > 0.0):
-            raise ValueError(f"max_residual must be finite and positive, got {self.max_residual!r}")
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,12 @@ class DiscretizedConnector:
 
     def __post_init__(self):
         n = self.grid.n_steps
-        cumulative = np.array(self.cumulative, dtype=float)
+        cumulative = _as_readonly(self.cumulative)
         if cumulative.shape != (2 * n + 1,):
             raise GridError(
                 f"connector needs the 2n+1 = {2 * n + 1} antiderivative samples "
                 f"of a {n}-step grid, got shape {cumulative.shape}"
             )
-        cumulative.flags.writeable = False
         length = next_fast_len(2 * n + 1, real=True)
         sym = np.zeros(length)
         sym[: n + 1] = cumulative[: n + 1]
@@ -342,12 +340,15 @@ def _second_diff(values: np.ndarray, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RecoveryDiagnostics:
+    """The factorization's Ritz values (largest first) and rank, each step's
+    relative residual, and ``endpoint_gap``: -||f_1||^2 / (f_1'(T) l_1) - 1,
+    which vanishes for the exact f_1 at any l_1, so it measures the
+    discretization error of f_1 at t = T (NaN if f_1'(T) = 0)."""
+
     singular_values: np.ndarray
     rank: int
     residuals: np.ndarray
-    condition_numbers: np.ndarray
-    l1_input: float
-    l1_estimate: float
+    endpoint_gap: float
 
 
 @dataclass(frozen=True)
@@ -375,10 +376,10 @@ def recover_string(
     """Full reconstruction from the response on [0, 2T].
 
     The mass count is read off the connector's numerical rank; the loop
-    then alternates Krein solves with the parameter recursion.  The first
-    segment length is taken as input (the kernel scale depends on it); the
-    endpoint-derivative estimate -||f_1||^2 / f_1'(T) is reported in the
-    diagnostics as a cross-check.
+    then alternates Krein solves with the parameter recursion.  The response
+    fixes the string only up to the scaling (c l, m / c), so the first
+    segment length is an input that picks c: recovery at c l_1 returns the
+    c-scaled string.
     """
     if grid.n_steps < 3:
         raise GridError(
@@ -387,7 +388,6 @@ def recover_string(
         )
     connector = build_connector(r, l1, grid)
     fact = ConnectorFactorization(connector, reg)
-    reg = fact.reg
     n_detected = fact.rank
     if n_detected == 0:
         raise RankError("connector has numerical rank 0: response carries no string")
@@ -403,7 +403,7 @@ def recover_string(
     residuals: list[float] = []
 
     f_values, residual = fact.solve(rhs)
-    _check_residual(residual, reg, step=1)
+    _check_residual(residual, step=1)
     image = fact.last_image
     image_prev = np.zeros_like(image)  # C f_0 = 0: no predecessor term at step 1
     a_param = 1.0 / l1
@@ -431,7 +431,7 @@ def recover_string(
         if k < n_detected:
             next_rhs = (m_k * curvature - a_param * image_prev - b_k * image) / a_k
             f_values, residual = fact.solve(next_rhs)
-            _check_residual(residual, reg, step=k + 1)
+            _check_residual(residual, step=k + 1)
             image_prev = image
             image = fact.last_image
         a_param = a_k
@@ -440,16 +440,13 @@ def recover_string(
     f1 = controls[0].values
     deriv_end = (3.0 * f1[-1] - 4.0 * f1[-2] + f1[-3]) / (2.0 * grid.dt)
     norm_sq = connector.weighted_inner(f1, f1)
-    l1_estimate = -norm_sq / deriv_end if deriv_end != 0.0 else np.nan
+    endpoint_gap = -norm_sq / (deriv_end * l1) - 1.0 if deriv_end != 0.0 else np.nan
 
-    sigma = fact.singular_values
     diagnostics = RecoveryDiagnostics(
-        singular_values=sigma,
+        singular_values=fact.singular_values,
         rank=n_detected,
         residuals=np.array(residuals),
-        condition_numbers=np.full(n_detected, sigma[0] / sigma[n_detected - 1]),
-        l1_input=l1,
-        l1_estimate=float(l1_estimate),
+        endpoint_gap=float(endpoint_gap),
     )
     return RecoveryResult(
         recovered_masses=np.array(masses),
@@ -461,10 +458,10 @@ def recover_string(
     )
 
 
-def _check_residual(residual: float, reg: Regularization, step: int) -> None:
-    if residual > reg.max_residual:
+def _check_residual(residual: float, step: int) -> None:
+    if residual > MAX_RESIDUAL:
         raise RecoveryError(
             f"step {step}: Krein solve residual {residual:.3e} exceeds "
-            f"{reg.max_residual:.1e}",
+            f"{MAX_RESIDUAL:.1e}",
             step=step,
         )

@@ -24,6 +24,16 @@ MIN_POSITIVE = 1e-12
 
 
 def _as_readonly(values) -> np.ndarray:
+    """``values`` as a read-only float64 array: kept as it is if it already
+    is one and owns its data (no other array can write to it), copied
+    otherwise."""
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError
-from .model import SystemMatrices
+from .model import SystemMatrices, _as_readonly
 
 # Relative eigenvalue gap below which the spectrum is reported degenerate;
 # the finite string always has simple spectrum, so this flags bad scaling.
@@ -40,9 +40,7 @@ class SpectralData:
 
     def __post_init__(self):
         for name in ("eigenvalues", "modes"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
 
     @property
     def n_modes(self) -> int:

@@ -64,24 +64,20 @@ def chebyshev_u(m: int, x):
 def uniform_eigen(n: int) -> SpectralData:
     """Closed-form spectral data of the uniform string.
 
-    lambda_k = -4 n^2 cos^2(k pi / 2n) ascending in k, eigenvectors
-    phi^k_j = U_{j-1}(-cos(k pi / n)) (first component one), scaled to modes
-    by 1/sqrt(omega_k) with omega_k = (M phi^k, phi^k) from the definition.
+    lambda_k = -4 n^2 cos^2(k pi / 2n) ascending in k.  The eigenvector with
+    first component one is phi^k_j = U_{j-1}(-cos(k pi / n))
+    = (-1)^(j+1) sin(k j pi / n) / sin(k pi / n), and sum_j sin^2(k j pi / n)
+    = n/2, so the mass-orthonormal modes are
+    v_kj = sqrt(2) (-1)^(j+1) sin(k j pi / n).  k j is reduced mod 2n in
+    integers first, so the sine's argument stays in [0, 2 pi).
     """
     if n < 2:
         raise ValueError("uniform case needs n >= 2")
     k = np.arange(1, n)
     lam = -4.0 * n**2 * np.cos(k * np.pi / (2 * n)) ** 2
-    two_x = 2.0 * -np.cos(k * np.pi / n)
-    # column j holds U_j(-cos(k pi / n)), by chebyshev_u's recurrence and association
-    table = np.empty((n - 1, n - 1))
-    table[:, 0] = 1.0
-    if n > 2:
-        table[:, 1] = two_x
-    for j in range(2, n - 1):
-        table[:, j] = two_x * table[:, j - 1] - table[:, j - 2]
-    weights = np.sum(table**2, axis=1, keepdims=True) / n
-    return SpectralData(eigenvalues=lam, modes=table / np.sqrt(weights))
+    sign = np.where(k % 2 == 1, 1.0, -1.0)
+    modes = np.sqrt(2.0) * sign * np.sin((np.pi / n) * (np.outer(k, k) % (2 * n)))
+    return SpectralData(eigenvalues=lam, modes=modes)
 
 
 def delta_solution(n: int, j: int, t):

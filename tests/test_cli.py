@@ -195,15 +195,11 @@ def test_too_few_steps_is_a_config_error(tmp_path, spec_file, small_response, ca
         ("invert", "--l1", "-0.2", "l1 must be finite and positive"),
         ("invert", "--l1", "nan", "l1 must be finite and positive"),
         ("invert", "--l1", "inf", "l1 must be finite and positive"),
-        ("roundtrip", "--l1", "0", "l1 must be finite and positive"),
         ("invert", "--threshold", "-1", "threshold must lie in (0, 1)"),
         ("invert", "--threshold", "0", "threshold must lie in (0, 1)"),
         ("invert", "--threshold", "1", "threshold must lie in (0, 1)"),
         ("invert", "--threshold", "2", "threshold must lie in (0, 1)"),
         ("roundtrip", "--threshold", "nan", "threshold must lie in (0, 1)"),
-        ("invert", "--max-residual", "nan", "max_residual must be finite and positive"),
-        ("invert", "--max-residual", "0", "max_residual must be finite and positive"),
-        ("roundtrip", "--max-residual", "inf", "max_residual must be finite and positive"),
         ("roundtrip", "--noise", "-1e-6", "noise must be finite and non-negative"),
         ("roundtrip", "--noise", "nan", "noise must be finite and non-negative"),
         ("roundtrip", "--noise", "inf", "noise must be finite and non-negative"),
@@ -245,6 +241,10 @@ def test_roundtrip_command(tmp_path, spec_file, capsys):
     assert err_m < 1e-2 and err_l < 1e-2
     body = (out / "recovery.csv").read_text().splitlines()
     assert body[-1].startswith("# l_N=")
+    # cond_k is sigma_1 / sigma_rank on every row, the rank being the row count
+    recovery = csv_floats(out / "recovery.csv")
+    sigma = csv_floats(out / "singular_values.csv")[:, 1]
+    assert np.all(recovery[:, 6] == sigma[0] / sigma[len(recovery) - 1])
 
 
 def test_uniform_sweep_command(tmp_path):
@@ -560,21 +560,20 @@ GOLDEN_HEADERS = {
          "--out", "{out}"],
         "recovery.csv",
         "# krein-string invert --response {response} --l1 0.5 --steps 100 "
-        "--threshold 1e-08 --max-residual 0.05 --out {out}",
+        "--threshold 1e-08 --out {out}",
     ),
     "roundtrip": (
         ["roundtrip", "--spec", "{spec}", "--T", "2.0", "--steps", "900", "--out", "{out}"],
         "recovery.csv",
         "# krein-string roundtrip --spec {spec} --T 2.0 --steps 900 --oversample 8 "
-        "--noise 0.0 --seed 0 --threshold 1e-08 --max-residual 0.05 --out {out}",
+        "--noise 0.0 --seed 0 --threshold 1e-08 --out {out}",
     ),
     "roundtrip-noisy": (
-        ["roundtrip", "--spec", "{spec}", "--T", "2.0", "--steps", "900", "--l1", "0.2",
+        ["roundtrip", "--spec", "{spec}", "--T", "2.0", "--steps", "900",
          "--noise", "1e-6", "--seed", "3", "--threshold", "1e-4", "--out", "{out}"],
         "recovery.csv",
-        "# krein-string roundtrip --spec {spec} --T 2.0 --steps 900 --l1 0.2 "
-        "--oversample 8 --noise 1e-06 --seed 3 --threshold 0.0001 --max-residual 0.05 "
-        "--out {out}",
+        "# krein-string roundtrip --spec {spec} --T 2.0 --steps 900 --oversample 8 "
+        "--noise 1e-06 --seed 3 --threshold 0.0001 --out {out}",
     ),
     "uniform-sweep": (
         ["uniform-sweep", "--prop", "4", "--N", "8,16", "--k", "2", "--out", "{out}"],

@@ -10,7 +10,6 @@ from krein_string import (
     apply_response_operator,
     build_matrices,
     check_integral_equation,
-    chebyshev_u,
     compute_spectral_data,
     continuous_solution,
     mollified_delta,
@@ -21,8 +20,18 @@ from krein_string import (
     uniform_eigen,
     uniform_spec,
 )
+from krein_string import forward
 from krein_string.bessel import bessel_j_grid
-from krein_string.forward import _midpoint_values, causal_convolution, rk4_propagator, rk4_step
+from krein_string.forward import (
+    Trajectory,
+    _midpoint_values,
+    causal_convolution,
+    rk4_propagator,
+    rk4_step,
+)
+from krein_string.inverse import DiscretizedConnector
+from krein_string.model import SystemMatrices
+from krein_string.spectral import SpectralData
 
 from scipy.linalg import eigh_tridiagonal
 from scipy.signal import fftconvolve
@@ -259,6 +268,57 @@ def test_oracle_equivalence(rng):
         assert np.max(np.abs(spectral.states - stepped.states)) < 1e-6
 
 
+def test_containers_keep_a_frozen_array_and_copy_the_rest():
+    # a read-only float64 array that owns its data is kept as it is; a
+    # writeable one, a read-only view (its base stays writeable) and an int
+    # array are copied, so nothing can change a container's values later
+    grid = TimeGrid(1.0, 4)
+    containers = {
+        "StringSpec": (lambda a: StringSpec(a, [1.0, 1.0]).lengths, (3,)),
+        "SystemMatrices": (lambda a: SystemMatrices(a, [1.0, 1.0]).couplings, (3,)),
+        "SpectralData": (lambda a: SpectralData(a, np.eye(3)).eigenvalues, (3,)),
+        "Waveform": (lambda a: Waveform(grid, a).values, (5,)),
+        "Trajectory": (lambda a: Trajectory(grid, a).states, (5, 2)),
+        "DiscretizedConnector": (
+            lambda a: DiscretizedConnector(TimeGrid(1.0, 2), a, 1.0).cumulative,
+            (5,),
+        ),
+    }
+    for name, (held, shape) in containers.items():
+        values = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        writeable = values.copy()
+        kept = held(writeable)
+        assert kept is not writeable and not kept.flags.writeable, name
+        writeable[0] = -1.0
+        assert np.array_equal(kept, values), name
+        frozen = values.copy()
+        frozen.flags.writeable = False
+        assert held(frozen) is frozen, name
+        view = values.copy()[:]
+        view.flags.writeable = False
+        assert held(view) is not view, name
+        assert held(values.astype(int)).dtype == np.float64, name
+
+
+def test_modal_trajectories_are_not_copied(monkeypatch):
+    # the delta and spectral solvers freeze their fresh output, and the
+    # Trajectory keeps that array
+    made = []
+
+    def recording(function):
+        def wrapped(*args, **kwargs):
+            made.append(function(*args, **kwargs))
+            return made[-1]
+
+        return wrapped
+
+    grid = TimeGrid(1.0, 800)
+    monkeypatch.setattr(forward, "_impulse_response", recording(forward._impulse_response))
+    assert solve_forward_delta(SINGLE_DATA, 0.5, grid).states is made[-1]
+    monkeypatch.setattr(forward, "causal_convolution", recording(forward.causal_convolution))
+    assert solve_forward_spectral(SINGLE, SINGLE_DATA, smooth_control(grid), 0.5).states is made[-1]
+
+
 def test_delta_trajectory_matches_response():
     data = compute_spectral_data(build_matrices(uniform_spec(5)))
     grid = TimeGrid(1.0, 200)
@@ -354,12 +414,16 @@ def phi_normalized_spectral(mats):
 
 
 def chebyshev_spectral(n):
-    """The uniform chain's eigenvalues, phi^k_j = U_{j-1}(-cos(k pi/n)) and
-    weights, from the closed forms."""
-    x_k = np.cos(np.arange(1, n) * np.pi / n)
-    lam = -4.0 * n**2 * np.cos(np.arange(1, n) * np.pi / (2 * n)) ** 2
-    phi = np.column_stack([chebyshev_u(j, -x_k) for j in range(n - 1)])
-    return lam, phi, np.sum(phi**2, axis=1) / n
+    """The uniform chain's eigenvalues, phi^k_j = U_{j-1}(-cos(k pi/n))
+    = (-1)^(j+1) sin(k j pi/n) / sin(k pi/n) and weights
+    omega_k = 1 / (2 sin^2(k pi/n)), from the closed forms; U's recurrence
+    would drift by 1.1e-12 at n = 256, above the bound it serves."""
+    k = np.arange(1, n)
+    lam = -4.0 * n**2 * np.cos(k * np.pi / (2 * n)) ** 2
+    sin_k = np.sin(k * np.pi / n)
+    sines = np.sin((np.pi / n) * (np.outer(k, k) % (2 * n)))
+    phi = np.where(k % 2 == 1, 1.0, -1.0) * sines / sin_k[:, None]
+    return lam, phi, 1.0 / (2.0 * sin_k**2)
 
 
 def per_mode_sums(lam, phi, omega, l1, f):

@@ -19,6 +19,7 @@ from krein_string import (
     solve_forward_spectral,
     uniform_spec,
 )
+from krein_string import inverse
 from krein_string.errors import RecoveryError
 from krein_string.inverse import (
     ConnectorFactorization,
@@ -326,15 +327,16 @@ def test_factorization_solve_single_mass():
     assert 1.0 / gram == pytest.approx(1.0, abs=1e-4)
 
 
-def test_recover_residual_guard_names_step():
+def test_recover_residual_guard_names_step(monkeypatch):
     # 1e-6 noise leaves the first Krein solve a residual near 1e-6, far
     # above this bound
+    monkeypatch.setattr(inverse, "MAX_RESIDUAL", 1e-8)
     grid = TimeGrid(1.0, 500)
     r = exact_response(SINGLE, grid)
     noise = 1e-6 * np.random.default_rng(0).standard_normal(len(r.values))
     noisy = Waveform(r.grid, r.values + noise)
     with pytest.raises(RecoveryError, match="residual") as excinfo:
-        recover_string(noisy, 0.5, grid, Regularization(max_residual=1e-8))
+        recover_string(noisy, 0.5, grid)
     assert excinfo.value.step == 1
 
 
@@ -372,7 +374,8 @@ def test_recover_single_mass():
     assert result.diagnostics.rank == 1
     assert result.recovered_masses[0] == pytest.approx(1.0, abs=1e-2)
     assert result.recovered_lengths[1] == pytest.approx(0.5, abs=1e-2)
-    assert result.diagnostics.l1_estimate == pytest.approx(0.5, abs=1e-2)
+    # the old 1e-2 absolute bound on the l_1 = 0.5 estimate, relative
+    assert abs(result.diagnostics.endpoint_gap) <= 2e-2
 
 
 @pytest.mark.parametrize("steps, width", [(6, 7), (40, 8)])
@@ -384,6 +387,34 @@ def test_recover_single_mass_on_short_grids(steps, width):
     assert len(result.diagnostics.singular_values) == width
     assert result.diagnostics.rank == 1
     assert result.recovered_masses[0] == pytest.approx(1.0, abs=2e-4)
+
+
+def test_response_fixes_the_string_up_to_scale():
+    # lengths times c and masses over c leave M^-1 A, the nu_k and v_1k^2 / l_1
+    # unchanged, so the response too: l_1 picks c.  Recovery at c l_1 returns
+    # the c-scaled string with the errors and endpoint_gap of c = 1; with c a
+    # power of two every step scales exactly, so the gap is equal to the bit
+    rng = np.random.default_rng([7, 5, 0])
+    spec = StringSpec(rng.uniform(0.5, 1.0, 5), rng.uniform(0.5, 1.0, 4))
+    grid = TimeGrid(1.5 * spec.total_length, 2000)
+    r = exact_response(spec, grid)
+    l1 = float(spec.lengths[0])
+    outcomes = {}
+    for c in (1.0, 0.5, 2.0):
+        scaled = StringSpec(c * spec.lengths, spec.masses / c)
+        gap = np.max(np.abs(exact_response(scaled, grid).values - r.values))
+        assert gap <= 1e-14 * np.max(np.abs(r.values))
+        result = recover_string(r, c * l1, grid)
+        assert result.diagnostics.rank == 4
+        err_m = np.max(np.abs(result.recovered_masses - scaled.masses) / scaled.masses)
+        err_l = np.max(np.abs(result.recovered_lengths - scaled.lengths) / scaled.lengths)
+        outcomes[c] = (err_m, err_l, result.diagnostics.endpoint_gap)
+    err_m, err_l, endpoint_gap = outcomes[1.0]
+    assert max(err_m, err_l) < 1e-4
+    for c in (0.5, 2.0):
+        assert abs(outcomes[c][0] - err_m) <= 1e-12
+        assert abs(outcomes[c][1] - err_l) <= 1e-12
+        assert outcomes[c][2] == endpoint_gap
 
 
 def test_recover_four_segment_string():
@@ -423,7 +454,7 @@ def test_recovery_under_noise(rng):
         Waveform(r.grid, noisy),
         0.3,
         grid,
-        Regularization(threshold=1e-4, max_residual=5e-2),
+        Regularization(threshold=1e-4),
     )
     assert result.diagnostics.rank == 2
     assert np.max(np.abs(result.recovered_masses - spec.masses) / spec.masses) < 0.1
