@@ -3,7 +3,9 @@
 Thin wrappers over the compiled ``scipy.special.jv``: a scalar value, a fixed
 order over an array of arguments (the quadrature grids of the pairings) and
 the whole order ladder J_0(x) .. J_{n_max}(x) at one argument (the
-uniform-string solutions).  All three reject negative orders and
+uniform-string solutions).  Each wrapper imports ``jv`` when it is called,
+so only the uniform-string pairings load ``scipy.special``; every other
+command runs on numpy alone.  All three reject negative orders and
 arguments, which ``jv`` would accept.  On the ranges the uniform sweeps reach
 (orders up to 512, x up to 1500) the values are within 1e-13 absolute of an
 extended-precision reference, which the test suite checks.
@@ -12,11 +14,12 @@ extended-precision reference, which the test suite checks.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import jv
 
 
 def bessel_j(n: int, x: float) -> float:
     """J_n(x) for integer n >= 0, x >= 0."""
+    from scipy.special import jv
+
     if n < 0:
         raise ValueError("order must be non-negative")
     if x < 0.0:
@@ -26,6 +29,8 @@ def bessel_j(n: int, x: float) -> float:
 
 def bessel_j_ladder(n_max: int, x: float) -> np.ndarray:
     """All of J_0(x) .. J_{n_max}(x)."""
+    from scipy.special import jv
+
     if n_max < 0:
         raise ValueError("order must be non-negative")
     if x < 0.0:
@@ -35,6 +40,8 @@ def bessel_j_ladder(n_max: int, x: float) -> np.ndarray:
 
 def bessel_j_grid(n: int, xs) -> np.ndarray:
     """Vectorized J_n over an array of non-negative arguments."""
+    from scipy.special import jv
+
     if n < 0:
         raise ValueError("order must be non-negative")
     xs = np.asarray(xs, dtype=float)

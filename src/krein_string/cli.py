@@ -42,6 +42,8 @@ from .errors import (
 from .forward import (
     TimeGrid,
     Waveform,
+    _impulse_response,
+    check_nyquist,
     mollified_delta,
     response_function,
     solve_forward_delta,
@@ -62,9 +64,11 @@ EXIT_IO = 4
 _BLOCK_ROWS = 1024
 
 # Fewest fields a part is given.  On a 2-CPU VM, forking and reaping a child
-# costs 2-6 ms in a process with numpy and scipy loaded (more as its memory
-# grows) and formatting 2**14 fields takes 10-15 ms; a table written in two
-# parts broke even near 2**13 fields, so 2**14 a part leaves a margin.
+# costs about 2 ms in a process with numpy alone loaded, as every command but
+# uniform-sweep runs, and 3.5 ms with scipy.special too (medians of 200;
+# more as its memory grows); formatting 2**14 fields takes 10-28 ms.  A table
+# written in two parts broke even between 2**13 and 2**14 fields in both, so
+# 2**14 a part leaves a margin.
 _MIN_PART_FIELDS = 2**14
 
 _CONFIG_ERRORS = (SpecError, GridError, ValueError)
@@ -340,16 +344,19 @@ def _cmd_uniform_sweep(args, config: RunConfig) -> int:
         raise ValueError(f"--N needs segment counts of at least 2, got {args.N!r}")
     rows = []
     if args.prop == 1:
-        # impulse components against the spectral sum, worst case over j and t;
-        # the closed form is the finite chain's image sum
+        # impulse components j = 1 and n // 2 against the spectral sum, worst
+        # case over j and t; only those two components are summed, and the
+        # closed form is the finite chain's image sum
         for n in ns:
             data = uniform.uniform_eigen(n)
             grid = TimeGrid(horizon=1.0, n_steps=max(4 * n, 64))
-            traj = solve_forward_delta(data, 1.0 / n, grid)
+            check_nyquist(data, grid)
+            components = (1, n // 2)
+            states = _impulse_response(data, 1.0 / n, grid, [j - 1 for j in components])
             worst = 0.0
-            for j in (1, n // 2):
+            for j, column in zip(components, states.T):
                 closed = uniform.image_sum(n, j, grid.times[1:])
-                worst = max(worst, float(np.max(np.abs(closed - traj.states[1:, j - 1]))))
+                worst = max(worst, float(np.max(np.abs(closed - column[1:]))))
             rows.append((n, 0.0, worst, worst))
     elif args.prop in (2, 3):
         xi = uniform.parse_test_function(args.xi)

@@ -10,7 +10,7 @@ addition from about 2 sqrt(n) sines and cosines per mode.
 ``response_function`` is its first component r(t), and
 ``solve_forward_spectral`` convolves it with the control in one batched
 trapezoid convolution (``causal_convolution``: a real FFT product from
-``scipy.fft`` on long grids, exact direct sums on short ones).
+``numpy.fft`` on long grids, exact direct sums on short ones).
 
 ``solve_forward_ode`` is the independent oracle: classical RK4 on
 M u_tt = A u + (f/l_1, 0, ..) in first-order form; the step is linear, so
@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import GridError, StabilityError
 from .model import StringSpec, SystemMatrices, _as_readonly, positions
@@ -97,6 +96,23 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth length 2^a 3^b 5^c >= n, the length scipy's
+    ``next_fast_len(n, real=True)`` picks for a real transform.  The length
+    fixes the rounding of an FFT product; a test holds the two equal for
+    every n up to 2^17."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two that lifts p35 to n or more
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def causal_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoid discretization of int_0^t kernel(t - s) values(s) ds.
 
@@ -113,8 +129,9 @@ def causal_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.
         values = values[:, None]
     n = len(kernel)
     if n > _FFT_THRESHOLD:
-        size = next_fast_len(2 * n - 1, True)
-        full = irfft(rfft(kernel, size, axis=0) * rfft(values, size, axis=0), size, axis=0)[:n]
+        size = _next_fast_len(2 * n - 1)
+        product = np.fft.rfft(kernel, size, axis=0) * np.fft.rfft(values, size, axis=0)
+        full = np.fft.irfft(product, size, axis=0)[:n]
     elif kernel.ndim == 2:
         full = np.column_stack([np.convolve(column, values[:, 0])[:n] for column in kernel.T])
     else:
@@ -132,23 +149,25 @@ def check_nyquist(data: SpectralData, grid: TimeGrid) -> None:
 
 
 def _impulse_response(
-    data: SpectralData, l1: float, grid: TimeGrid, n_components: int | None = None
+    data: SpectralData, l1: float, grid: TimeGrid, columns: slice | list[int] = slice(None)
 ) -> np.ndarray:
     """(1/l_1) sum_k sin(nu_k t)/nu_k v_1k v_k at each grid time (rows), for
-    the first ``n_components`` components (all by default).
+    the components that ``columns`` selects (an index list or a slice of the
+    N-1 components; all by default).
 
     Angle addition on the uniform grid: with B = ceil(sqrt(n + 1)) and
     t_{aB+b} = t_{aB} + t_b, sin(nu t) = sin(nu t_{aB}) cos(nu t_b) +
     cos(nu t_{aB}) sin(nu t_b).  Only the coarse (t_{aB}) and fine (t_b)
     tables are evaluated, about 4 sqrt(n) N transcendentals instead of
     n N; each component folds its coefficients into the coarse tables and
-    contracts them with the fine ones, so no (n x N) sine table is built.
-    The result moves from the direct sum by rounding only.  It is returned
+    contracts them with the fine ones, so no (n x N) sine table is built,
+    and a column does not depend on which others are selected.  The result
+    moves from the direct sum by rounding only.  It is returned
     read-only, so a ``Trajectory`` keeps it without a copy.
     """
     nu = data.frequencies
     modes = data.modes
-    coefficients = modes[:, :n_components] * (modes[:, :1] / (l1 * nu[:, None]))
+    coefficients = modes[:, columns] * (modes[:, :1] / (l1 * nu[:, None]))
     times = grid.times
     block = int(np.ceil(np.sqrt(len(times))))
     coarse = np.outer(times[::block], nu)
@@ -289,7 +308,7 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
 
 def response_function(data: SpectralData, l1: float, grid: TimeGrid) -> Waveform:
     """r(t) = (1/l_1) sum_k sin(nu_k t) v_1k^2 / nu_k on the grid."""
-    return Waveform(grid=grid, values=_impulse_response(data, l1, grid, 1)[:, 0])
+    return Waveform(grid=grid, values=_impulse_response(data, l1, grid, [0])[:, 0])
 
 
 def apply_response_operator(r: Waveform, f: Waveform) -> Waveform:

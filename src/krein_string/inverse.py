@@ -40,10 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import GridError, RankError, RecoveryError, SpecError
-from .forward import TimeGrid, Waveform
+from .forward import TimeGrid, Waveform, _next_fast_len
 from .model import _as_readonly
 
 A_DIVISION_GUARD = 1e-10
@@ -106,7 +105,7 @@ class DiscretizedConnector:
                 f"connector needs the 2n+1 = {2 * n + 1} antiderivative samples "
                 f"of a {n}-step grid, got shape {cumulative.shape}"
             )
-        length = next_fast_len(2 * n + 1, real=True)
+        length = _next_fast_len(2 * n + 1)
         sym = np.zeros(length)
         sym[: n + 1] = cumulative[: n + 1]
         sym[length - n :] = cumulative[n:0:-1]
@@ -118,8 +117,8 @@ class DiscretizedConnector:
             ("cumulative", cumulative),
             ("quad_weights", weights),
             ("_fft_length", length),
-            ("_hankel_spectrum", self.scale * shift * np.conj(rfft(cumulative, length))),
-            ("_toeplitz_spectrum", self.scale * rfft(sym).real),
+            ("_hankel_spectrum", self.scale * shift * np.conj(np.fft.rfft(cumulative, length))),
+            ("_toeplitz_spectrum", self.scale * np.fft.rfft(sym).real),
         ):
             object.__setattr__(self, name, value)
 
@@ -130,13 +129,22 @@ class DiscretizedConnector:
         return self._kernel_product(weights * values)
 
     def _kernel_product(self, block: np.ndarray) -> np.ndarray:
-        """kernel @ block, by one forward and one inverse real FFT per column."""
-        spectrum = rfft(block.T, self._fft_length)
+        """kernel @ block for a vector or an (n+1, k) block, by one forward and
+        one inverse real FFT per column.  The columns are copied into the
+        rows of a zero-padded C-contiguous (k, L) array: ``numpy.fft``
+        transforms contiguous rows faster than the strided columns of the
+        block.  The inverse transform writes back into that array."""
+        nodes = len(self.quad_weights)
+        columns = block.reshape(nodes, -1).T
+        padded = np.zeros((len(columns), self._fft_length))
+        padded[:, :nodes] = columns
+        spectrum = np.fft.rfft(padded)
         mixed = np.conj(spectrum)
         mixed *= self._hankel_spectrum
         spectrum *= self._toeplitz_spectrum
         mixed -= spectrum
-        return irfft(mixed, self._fft_length)[..., : len(self.quad_weights)].T
+        np.fft.irfft(mixed, self._fft_length, out=padded)
+        return padded[:, :nodes].T.reshape(block.shape)
 
     def weighted_inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.sum(self.quad_weights * u * v))

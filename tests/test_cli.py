@@ -31,7 +31,7 @@ from krein_string.cli import (
     _write_csv,
     main,
 )
-from krein_string.uniform import parse_test_function
+from krein_string.uniform import image_sum, parse_test_function, uniform_eigen
 
 SPEC_TEXT = "lengths=0.2,0.3,0.5\nmasses=1.0,2.0\n"
 
@@ -59,12 +59,14 @@ def test_spectral_command(tmp_path, spec_file):
 
 
 def test_cli_import_leaves_heavy_scipy_out(tmp_path, spec_file, small_response):
-    # every command, run in one fresh interpreter, loads only scipy.fft and
-    # scipy.special; scipy.signal or scipy.interpolate alone would pull in
-    # stats, optimize, sparse, spatial and more.  Before scipy 1.17,
-    # scipy.special imports scipy.linalg at module level (for the roots of
-    # its orthogonal polynomials), and scipy.linalg imports scipy.sparse, so
-    # only from 1.17 on are linalg and sparse ruled out.
+    # a bare import and every command but uniform-sweep, run in one fresh
+    # interpreter, load no scipy module at all: the FFTs are numpy's.  The
+    # sweep then loads scipy.special for the Bessel functions and nothing
+    # heavy; scipy.signal or scipy.interpolate alone would pull in stats,
+    # optimize, sparse, spatial and more.  Before scipy 1.17, scipy.special
+    # imports scipy.linalg at module level (for the roots of its orthogonal
+    # polynomials), and scipy.linalg imports scipy.sparse, so only from 1.17
+    # on are linalg and sparse ruled out.
     heavy = [
         "scipy.signal", "scipy.interpolate", "scipy.stats",
         "scipy.optimize", "scipy.spatial",
@@ -79,20 +81,28 @@ def test_cli_import_leaves_heavy_scipy_out(tmp_path, spec_file, small_response):
         ["response", "--spec", spec_file, "--T", "4.0", "--steps", "2000"],
         ["invert", "--response", small_response(), "--l1", "0.5", "--steps", "100"],
         ["roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "900"],
-        ["uniform-sweep", "--prop", "2", "--N", "8"],
     ]
+    sweep = ["uniform-sweep", "--prop", "2", "--N", "8"]
     out = str(tmp_path / "out")
     code = (
         "import sys\n"
+        "import krein_string, krein_string.cli\n"
         "from krein_string.cli import main\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+        "print('import', loaded())\n"
         f"codes = [main([*argv, '--out', {out!r}]) for argv in {commands!r}]\n"
-        f"print(codes, [m for m in {heavy!r} if m in sys.modules])"
+        "print('commands', codes, loaded())\n"
+        f"code = main([*{sweep!r}, '--out', {out!r}])\n"
+        f"print('sweep', code, 'scipy.special' in sys.modules, [m for m in {heavy!r} if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(krein_string.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip().splitlines()[-1] == f"{[0] * len(commands)} []"
+    tags = ("import", "commands", "sweep")
+    lines = [line for line in result.stdout.splitlines() if line.split(" ")[0] in tags]
+    assert lines == ["import []", f"commands {[0] * len(commands)} []", "sweep 0 True []"]
 
 
 def test_forward_solvers_agree(tmp_path, spec_file):
@@ -254,6 +264,25 @@ def test_uniform_sweep_command(tmp_path):
     rows = np.loadtxt(out / "uniform_prop2.csv", delimiter=",", skiprows=2)
     assert rows.shape == (2, 4)
     assert rows[0, 3] > rows[1, 3]  # error shrinks with N
+
+
+def test_uniform_prop1_sums_only_the_compared_components(tmp_path):
+    # prop 1 sums only components j = 1 and n // 2 (the same one at n = 2);
+    # each row is bitwise the worst gap the full impulse response gives
+    out = tmp_path / "out"
+    assert run("uniform-sweep", "--prop", "1", "--N", "2,8,64", "--out", str(out)) == 0
+    rows = np.loadtxt(out / "uniform_prop1.csv", delimiter=",", skiprows=2)
+    assert rows[:, 0].tolist() == [2, 8, 64]
+    for n, target, value, error in rows.tolist():
+        n = int(n)
+        grid = TimeGrid(1.0, max(4 * n, 64))
+        states = solve_forward_delta(uniform_eigen(n), 1.0 / n, grid).states
+        worst = max(
+            float(np.max(np.abs(image_sum(n, j, grid.times[1:]) - states[1:, j - 1])))
+            for j in (1, n // 2)
+        )
+        assert (target, value, error) == (0.0, worst, worst)
+        assert worst < 1e-11
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,9 @@ from krein_string import forward
 from krein_string.bessel import bessel_j_grid
 from krein_string.forward import (
     Trajectory,
+    _impulse_response,
     _midpoint_values,
+    _next_fast_len,
     causal_convolution,
     rk4_propagator,
     rk4_step,
@@ -319,6 +321,20 @@ def test_modal_trajectories_are_not_copied(monkeypatch):
     assert solve_forward_spectral(SINGLE, SINGLE_DATA, smooth_control(grid), 0.5).states is made[-1]
 
 
+def test_selected_impulse_components_are_columns_of_all():
+    # each component is its own contraction of the same tables, so a
+    # selection (prop 1's two components, the response's first) is bitwise
+    # the matching columns of the full impulse response
+    for n in (8, 64, 256):
+        data = uniform_eigen(n)
+        grid = TimeGrid(1.0, max(4 * n, 64))
+        full = _impulse_response(data, 1.0 / n, grid)
+        assert full.shape == (grid.n_steps + 1, n - 1)
+        selected = _impulse_response(data, 1.0 / n, grid, [0, n // 2 - 1])
+        assert np.array_equal(selected, full[:, [0, n // 2 - 1]])
+        assert np.array_equal(response_function(data, 1.0 / n, grid).values, full[:, 0])
+
+
 def test_delta_trajectory_matches_response():
     data = compute_spectral_data(build_matrices(uniform_spec(5)))
     grid = TimeGrid(1.0, 200)
@@ -395,6 +411,16 @@ def test_fft_path_is_fftconvolve(rng):
             full = fftconvolve(kernel, column, axes=0)[:n]
             expected = dt * (full - 0.5 * kernel * column[0] - 0.5 * kernel[0] * column)
             assert np.array_equal(causal_convolution(kernel, values, dt), expected)
+
+
+def test_fft_length_is_scipys_real_length():
+    # the transforms once took scipy.fft's next_fast_len(n, real=True); the
+    # length fixes the rounding, so every CSV keeps its bytes only if the
+    # lengths agree
+    from scipy.fft import next_fast_len
+
+    bad = [n for n in range(1, 2**17 + 1) if _next_fast_len(n) != next_fast_len(n, real=True)]
+    assert bad == []
 
 
 # ---------------------------------------------------------------------------

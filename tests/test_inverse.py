@@ -129,6 +129,38 @@ def test_fft_apply_matches_dense_kernel(rng, steps):
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def scipy_fft_apply(connector, x):
+    """``apply`` as the scipy.fft transforms computed it, spectra included:
+    the product recovery.csv and singular_values.csv were written from."""
+    from scipy.fft import irfft, next_fast_len, rfft
+
+    n = connector.grid.n_steps
+    c = connector.cumulative
+    length = next_fast_len(2 * n + 1, real=True)
+    sym = np.zeros(length)
+    sym[: n + 1] = c[: n + 1]
+    sym[length - n :] = c[n:0:-1]
+    shift = np.exp((-2j * np.pi / length) * ((2 * n * np.arange(length // 2 + 1)) % length))
+    w = connector.quad_weights
+    spectrum = rfft((w * x if x.ndim == 1 else w[:, None] * x).T, length)
+    mixed = np.conj(spectrum)
+    mixed *= connector.scale * shift * np.conj(rfft(c, length))
+    spectrum *= connector.scale * rfft(sym).real
+    mixed -= spectrum
+    return irfft(mixed, length)[..., : n + 1].T
+
+
+@pytest.mark.parametrize("steps", [1000, 2000])
+def test_fft_apply_is_the_scipy_fft_product(rng, steps):
+    # numpy.fft runs the same pocketfft as scipy.fft, at the same lengths, so
+    # the products agree to the bit, on a vector and on the block widths the
+    # factorization applies
+    connector = random_connector(rng, 8, steps)[0]
+    for shape in ((steps + 1,), (steps + 1, 8), (steps + 1, 14), (steps + 1, 22)):
+        x = rng.standard_normal(shape)
+        assert np.array_equal(connector.apply(x), scipy_fft_apply(connector, x)), shape
+
+
 def test_fft_apply_is_self_adjoint(rng):
     for connector in (generic_connector(rng, 2000), random_connector(rng, 5, 2000)[0]):
         t = connector.grid.times
