@@ -3,9 +3,12 @@
 Every output file opens with a comment echoing the full configuration as
 the command line that reruns it, and reruns with the same configuration
 produce byte-identical files.  Floats are written with shortest round-trip
-precision (``repr``), index columns as ints.  A long table is formatted in
-P contiguous row ranges, P = min(CPUs the process may use,
-fields // ``_MIN_PART_FIELDS``) and at least 1: where ``os.fork`` and
+precision, the bytes of ``repr``, index columns as ints.  The long tables of
+``forward`` and ``response`` (``_TableRows``) are formatted by
+``floattext.format_block``, a float64 block at a time, without a ``repr``
+per field; every other table joins ``repr`` of its Python floats.  A long
+table is formatted in P contiguous row ranges, P = min(CPUs the process may
+use, fields // ``_MIN_PART_FIELDS``) and at least 1: where ``os.fork`` and
 ``os.sched_getaffinity`` exist, a forked child formats each range after the
 first into a temporary file and does nothing else, and the bytes are the
 same for every P.  Python 3.12 and later issue a ``DeprecationWarning`` for
@@ -50,6 +53,7 @@ from .forward import (
     solve_forward_ode,
     solve_forward_spectral,
 )
+from .floattext import format_block
 from .inverse import Regularization, recover_string
 from .model import build_matrices, read_spec_file
 from .spectral import compute_spectral_data
@@ -59,17 +63,26 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-# Rows formatted and written per block, so a long table is never held whole
-# as Python floats or text.
+# Rows formatted and written per block of a list or an iterator of rows, so a
+# long table is never held whole as Python floats or text.
 _BLOCK_ROWS = 1024
 
+# Fields per block of a ``_TableRows`` table, which ``format_block`` formats:
+# its temporaries stay near 1 MB.  Writing the eight forward-uniform tables of
+# one set of strings (10001 x 4, 8, 16 and 24, and four 32001 x 2) on one CPU
+# took 338, 325, 312, 302 and 390 ms at 2**12, 1.5 * 2**12, 2**13,
+# 1.5 * 2**13 and 2**14 fields a block (means of six interleaved rounds, on a
+# 2-CPU VM); 2**13 keeps clear of the rise.
+_BLOCK_FIELDS = 2**13
+
 # Fewest fields a part is given.  On a 2-CPU VM, forking and reaping a child
-# costs about 2 ms in a process with numpy alone loaded, as every command but
-# uniform-sweep runs, and 3.5 ms with scipy.special too (medians of 200;
-# more as its memory grows); formatting 2**14 fields takes 10-28 ms.  A table
-# written in two parts broke even between 2**13 and 2**14 fields in both, so
-# 2**14 a part leaves a margin.
-_MIN_PART_FIELDS = 2**14
+# costs 4-5.5 ms in a process that holds those tables (with numpy alone
+# loaded, as every command but uniform-sweep runs, and with scipy.special
+# too), and the child's part then passes through a temporary file.  Against
+# one part, two took 1.2-1.4 times as long at 40004 fields, the same at 64002
+# and 80008 (0.97-1.08) and 0.65-0.8 times at 160016 and 240024 (medians of
+# 10, interleaved), so a table is split from 2**17 fields on.
+_MIN_PART_FIELDS = 2**16
 
 _CONFIG_ERRORS = (SpecError, GridError, ValueError)
 # LinAlgError subclasses ValueError, so main() must test this tuple first
@@ -115,17 +128,22 @@ def _usable_cpus() -> int:
 
 
 def _write_rows(fh, rows) -> None:
+    if isinstance(rows, _TableRows):
+        for block in rows.blocks():
+            fh.write(format_block(block))
+        return
     rows = iter(rows)
     while block := list(islice(rows, _BLOCK_ROWS)):
         fh.writelines([",".join(map(repr, row)) + "\n" for row in block])
 
 
 def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
-    """Write the echo line, the header and then ``rows``, an iterable of rows
-    of plain Python ints and floats (build them with ``tolist()``), so
-    ``repr`` writes what ``_fmt`` would; an ``np.float64`` would not.  Rows
-    are formatted and written ``_BLOCK_ROWS`` at a time, so a generator of
-    rows is never held whole; the bytes are those of one join of all lines.
+    """Write the echo line, the header and then ``rows``: a ``_TableRows``
+    table, written by ``format_block`` ``_BLOCK_FIELDS`` fields at a time, or
+    an iterable of rows of plain Python ints and floats (build them with
+    ``tolist()``), so ``repr`` writes what ``_fmt`` would (an ``np.float64``
+    would not), ``_BLOCK_ROWS`` at a time.  A generator of rows is never held
+    whole, and the bytes are those of one join of every line's ``repr``.
 
     Rows given as a ``Sequence`` (a list, ``_TableRows``) are cut into P
     contiguous parts, P = min(usable CPUs, fields // ``_MIN_PART_FIELDS``)
@@ -172,9 +190,12 @@ def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
 
 
 class _TableRows(Sequence):
-    """Rows (t_j, values[j]...) as plain Python floats, ``tolist()`` of one
-    block of ``_BLOCK_ROWS`` at a time.  A slice is a view of the same
-    arrays, so a table is cut into parts without being held whole."""
+    """Rows (t_j, values[j]...) of a time grid and its samples.  ``_write_csv``
+    formats them with ``format_block`` a float64 block of about
+    ``_BLOCK_FIELDS`` fields at a time; iterating gives the same rows as
+    plain Python floats, ``tolist()`` of one block at a time.  A slice is a
+    view of the same arrays, so a table is cut into parts without being held
+    whole."""
 
     def __init__(self, times: np.ndarray, values: np.ndarray):
         self._times = times
@@ -189,10 +210,16 @@ class _TableRows(Sequence):
         start = range(len(self))[index]
         return next(iter(self[start : start + 1]))
 
+    def blocks(self):
+        columns = 1 + (self._values.shape[1] if self._values.ndim > 1 else 1)
+        step = max(1, _BLOCK_FIELDS // columns)
+        for start in range(0, len(self), step):
+            block = slice(start, start + step)
+            yield np.column_stack([self._times[block], self._values[block]])
+
     def __iter__(self):
-        for start in range(0, len(self), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            yield from np.column_stack([self._times[block], self._values[block]]).tolist()
+        for block in self.blocks():
+            yield from block.tolist()
 
 
 def _control_waveform(descriptor: str, grid: TimeGrid) -> Waveform:

@@ -1,0 +1,165 @@
+"""CSV text of float64 blocks, byte for byte what joining ``repr`` writes.
+
+``format_block(block)`` equals
+``"".join(",".join(map(repr, row)) + "\\n" for row in block.tolist())``, with
+no Python float or string per field.  The digits are Schubfach's (R.
+Giulietti, "The Schubfach way to render doubles", 2020; the JDK's
+``Double.toString``), the shortest decimal that reads back to v and the
+closest on a tie, in 64-bit integer arithmetic over uint64 arrays; without
+Java's two-digit minimum, the one-digit shortening is tried for every
+s >= 10.  The layout is ``repr``'s, built as a uint8 array of (character
+places x fields), and one boolean compress drops the NUL padding of each
+field.  The tables are built on first use, and no BLAS routine is called,
+so a forked child may format.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+
+import numpy as np
+
+_U = np.uint64
+_LOW32, _LOW63 = _U(2**32 - 1), _U(2**63 - 1)
+_FRACTION, _EXPONENT = _U(2**52 - 1), _U(0x7FF << 52)
+_K_MIN = -324  # decimal exponents k of the 10**-k table run from -324 to 292
+_WIDTH = 25  # the longest field, "-1.2345678901234567e-308", and its separator
+
+
+@cache
+def _tables():
+    """g = floor(10**-k 2**-r) + 1, r = floor(-k log2(10)) - 125, as high and
+    low 63 bits; powers of ten; suffixes e-324 to e+308; nan, -inf, inf."""
+    g = []
+    for k in range(_K_MIN, 293):
+        r = (-k * 913124641741 >> 38) - 125
+        num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
+        g.append((num << max(-r, 0)) // (den << max(r, 0)) + 1)
+    suffix = b"".join((b"e%+03d" % x).ljust(5, b"\0") for x in range(-324, 309))
+    special = b"".join(name.ljust(_WIDTH, b"\0") for name in (b"nan", b"-inf", b"inf"))
+    tables = (
+        np.array([[x >> 63 for x in g], [x & (2**63 - 1) for x in g]], np.uint64),
+        np.array([10**i for i in range(18)], np.uint64),
+        np.frombuffer(suffix, np.uint8).reshape(-1, 5),
+        np.frombuffer(special, np.uint8).reshape(3, _WIDTH),
+    )
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _mulhi(a, b_low, b_high):
+    """High word of a b from 32-bit limbs; a < 2**63 and b < 2**60 keep the
+    cross products' sum below 2**64."""
+    a_low, a_high = a & _LOW32, a >> _U(32)
+    cross = a_low * b_high + a_high * b_low
+    low = ((a_low * b_low) >> _U(32)) + (cross & _LOW32)
+    return a_high * b_high + (cross >> _U(32)) + (low >> _U(32))
+
+
+def _round_odd(words):
+    """Schubfach's rop, g cp 2**-127 rounded to odd, from the products
+    g1 cp = y1 2**64 + y0 and g0 cp = x1 2**64 + x0, g = g1 2**63 + g0."""
+    y1, y0, x1, _ = words
+    z = (y0 >> _U(1)) + x1
+    return (y1 + (z >> _U(63))) | (((z & _LOW63) + _LOW63) >> _U(63))
+
+
+def _moved(words, g1, g0, shift):
+    """The products at cp + 2**shift from those at cp, carries included."""
+    y1, y0, x1, x0 = words
+    up = _U(64) - shift
+    y0n, x0n = y0 + (g1 << shift), x0 + (g0 << shift)
+    return y1 + (g1 >> up) + (y0n < y0), y0n, x1 + (g0 >> up) + (x0n < x0), x0n
+
+
+def _decimal(bits):
+    """(f, e): |v| = f 10**e for each finite v's bits, f = e = 0 for zero."""
+    biased = (bits >> _U(52)) & _U(0x7FF)
+    fraction = bits & _FRACTION
+    c = fraction | (np.minimum(biased, 1) << _U(52))
+    q = np.maximum(biased, 1).astype(np.int64) - 1075
+    irregular = (fraction == 0) & (biased > 1)
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
+    g1, g0 = _tables()[0][:, k - _K_MIN]
+    # the products at the rounding interval's lower end, then at v and at
+    # its upper end, 2**h (irregular spacing) or 2**(h + 1) apart
+    cp = ((c << _U(2)) - _U(2) + irregular) << h
+    low, high = cp & _LOW32, cp >> _U(32)
+    at_lower = (_mulhi(g1, low, high), g1 * cp, _mulhi(g0, low, high), g0 * cp)
+    at_v = _moved(at_lower, g1, g0, h + _U(1) - irregular)
+    odd = c & _U(1)
+    vbl, vb = _round_odd(at_lower) + odd, _round_odd(at_v)
+    vbr = _round_odd(_moved(at_v, g1, g0, h + _U(1))) - odd
+    s = vb >> _U(2)
+    # one digit shorter when exactly one of 10 s' and 10 s' + 10 is in range
+    sp10 = s // _U(10) * _U(10)
+    upin = vbl <= sp10 << _U(2)
+    short = (upin != ((sp10 + _U(10)) << _U(2) <= vbr)) & (s >= _U(10))
+    uin, win = vbl <= s << _U(2), (s + _U(1)) << _U(2) <= vbr
+    mid = (s << _U(2)) + _U(2)
+    take_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & _U(1)) == 0)))
+    f = np.where(short, sp10 + _U(10) * ~upin, s + ~take_s)
+    shift = np.clip(-q, 0, 63).astype(np.uint64)
+    integer = (q < 0) & (q > -53) & ((c >> shift) << shift == c)  # its own digits
+    return np.where(integer, c >> shift, f) * (c != 0), np.where(integer | (c == 0), 0, k)
+
+
+def format_block(block: np.ndarray) -> str:
+    """The rows of ``block``, ',' between fields and '\\n' after each row."""
+    rows, cols = block.shape
+    m, width = rows * cols, _WIDTH
+    bits = np.ascontiguousarray(block, np.float64).view(np.uint64).ravel()
+    pow10, suffix, special = _tables()[1:]
+    finite = (bits & _EXPONENT) != _EXPONENT
+    f, e = _decimal(bits * finite)
+    n_digits = np.searchsorted(pow10[1:17], f, "right") + 1
+    f = f * pow10[17 - n_digits]  # 17 digits, the first nonzero (or f = 0)
+    x = e + n_digits - 1  # |v| = d.ddd 10**x
+    neg = (bits >> _U(63)).astype(np.uint8)
+    fixed = (x >= -4) & (x < 16)
+    # the 24 digits of f 10**(7 - s), s = the sign's place and the zeros of
+    # 0.000ddd, in three 8-digit parts halved down to one digit a row
+    s = neg + np.where(fixed, np.maximum(-x, 0), 0)
+    top = f // pow10[9 + s]
+    rest = (f - top * pow10[9 + s]) * pow10[7 - s]
+    middle = rest // _U(10**8)
+    parts = np.stack([top, middle, rest - middle * _U(10**8)]).astype(np.uint32)
+    for div, dtype in ((10000, np.uint16), (100, np.uint8), (10, np.uint8)):
+        high = parts // div
+        halves = np.empty((len(parts), 2, m), dtype)
+        halves[:, 0], halves[:, 1] = high, parts - high * div
+        parts = halves.reshape(2 * len(parts), m)
+    digits = np.zeros((width + 1, m), np.uint8)  # row 0 stands before the string
+    digits[1:25] = parts
+    last = ((digits[1:25] != 0) * np.arange(1, 25, dtype=np.uint8)[:, None]).max(axis=0)
+    point = (np.where(fixed, np.maximum(x, 0), 0) + neg).astype(np.uint8)
+    # ASCII up to the last nonzero digit, and in fixed notation up to one
+    # after the point at least; NUL beyond
+    end = np.where(fixed, np.maximum(last, point + 2), last).astype(np.uint8)
+    digits += np.uint8(48) * (np.arange(width + 1, dtype=np.uint8)[:, None] <= end)
+    # character p: digit p up to the point's place, '.', then digit p - 1
+    at, before = digits[1:], digits[:-1]
+    place = np.arange(width, dtype=np.uint8)[:, None]
+    text = np.empty((m, width), np.uint8)
+    text[...] = (before + (at - before) * (place <= point) + (np.uint8(46) - before) * (place == point + 1)).T
+    text[:, 0] -= 3 * neg  # the sign's '0' becomes '-'
+    flat = text.ravel()
+    stop = end.astype(np.intp) + np.arange(1, m * width, width)
+    exp = np.flatnonzero(~fixed)
+    if exp.size:
+        letters = suffix[x[exp] + 324]
+        start = exp * width + last[exp] + (last[exp] > point[exp] + 1)
+        for j in range(5):
+            flat[start + j] = letters[:, j]
+        stop[exp] = start + 4 + (letters[:, 4] != 0)
+    sep = np.full(m, ord(","), np.uint8)
+    sep[cols - 1 :: cols] = ord("\n")
+    flat[stop] = sep
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        kind = np.where(bits[bad] & _FRACTION, 0, 2 - neg[bad].astype(np.intp))
+        text[bad] = special[kind]
+        text[bad, 3 + (kind == 1)] = sep[bad]
+    return flat[flat != 0].tobytes().decode("ascii")

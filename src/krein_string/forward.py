@@ -38,6 +38,10 @@ RK4_LIMIT = 2.8
 
 _FFT_THRESHOLD = 512
 
+# Steps whose RK4 forcing is summed at once: a (steps x 2d) block, not the
+# whole history.
+_DRIVE_STEPS = 1024
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -296,14 +300,22 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     direction = np.zeros(2 * d)
     direction[d] = 1.0 / (l1 * mats.masses[0])
     prop, c0, ch, c1 = rk4_propagator(op, dt, direction)
-    drive = (
-        np.outer(f.values[:-1], c0) + np.outer(f_half, ch) + np.outer(f.values[1:], c1)
-    )
 
-    ys = np.zeros((grid.n_steps + 1, 2 * d))
-    for j in range(grid.n_steps):
-        ys[j + 1] = prop @ ys[j] + drive[j]
-    return Trajectory(grid=grid, states=ys[:, :d])
+    # one state (u, v) is stepped and only the positions u are kept; the
+    # forcing f0 c0 + fh ch + f1 c1 of each step is summed a block of steps
+    # at a time
+    u = np.zeros((grid.n_steps + 1, d))
+    y = np.zeros(2 * d)
+    for start in range(0, grid.n_steps, _DRIVE_STEPS):
+        steps = slice(start, start + _DRIVE_STEPS)
+        drive = np.multiply.outer(f.values[:-1][steps], c0)
+        drive += np.multiply.outer(f_half[steps], ch)
+        drive += np.multiply.outer(f.values[1:][steps], c1)
+        for j, forcing in enumerate(drive, start + 1):
+            y = prop @ y + forcing
+            u[j] = y[:d]
+    u.flags.writeable = False
+    return Trajectory(grid=grid, states=u)
 
 
 def response_function(data: SpectralData, l1: float, grid: TimeGrid) -> Waveform:

@@ -427,8 +427,9 @@ def test_write_csv_writes_what_fmt_writes(tmp_path):
 def test_write_csv_writes_the_one_shot_bytes(tmp_path, monkeypatch, n_rows, kind, cpus):
     # rows are formatted a block at a time, a sequence of them (a list or a
     # table's view) in up to one part per usable CPU and an iterator in one;
-    # the file is what one join of every line wrote, over 12.5 blocks in
-    # three parts and for a header-only table
+    # the file is what one join of every line's repr wrote, over 48.5 blocks
+    # of rows (24.3 blocks of fields for the table) in three parts and for a
+    # header-only table
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -477,8 +478,10 @@ def test_write_csv_reaps_every_child_when_a_part_fails(tmp_path, monkeypatch, sp
     with pytest.raises(OSError, match="child process failed"):
         _write_csv(tmp_path / "unit.csv", RunConfig("unit"), ["a", "b", "c", "d"], rows)
     assert_no_child()
-    # the 3-mass string at 20000 steps is 60003 fields, three parts
-    argv = ["forward", "--spec", spec_file, "--T", "1.0", "--steps", "20000", "--out", str(tmp_path)]
+    # the 3-mass string at _MIN_PART_FIELDS steps is three columns of
+    # _MIN_PART_FIELDS + 1 rows, three parts
+    steps = str(_MIN_PART_FIELDS)
+    argv = ["forward", "--spec", spec_file, "--T", "1.0", "--steps", steps, "--out", str(tmp_path)]
     assert run(*argv) == 4
     assert capsys.readouterr().err.startswith("error_code=4 ")
     assert_no_child()
@@ -490,10 +493,10 @@ def test_write_csv_reaps_every_child_when_a_part_fails(tmp_path, monkeypatch, sp
 
 def test_forward_peak_memory(tmp_path):
     # a 24-segment impulse trajectory at 10000 steps is 10001 x 23 floats
-    # (1.8 MiB); writing its CSV a block of rows at a time keeps the traced
-    # peak of this process at about twice that (3.71 MiB measured, writing
-    # the first of two parts on 2 CPUs; 3.71 MiB on one), where the whole
-    # table as Python floats and text took 24.9 MiB
+    # (1.8 MiB); writing its CSV a block at a time keeps the traced peak of
+    # this process at about twice that (4.17 MiB measured, writing the first
+    # of two parts on 2 CPUs; 4.16 MiB on one), where the whole table as
+    # Python floats and text took 24.9 MiB
     rng = np.random.default_rng(24)
     path = tmp_path / "string.txt"
     lengths, masses = rng.uniform(0.2, 1.0, 24).tolist(), rng.uniform(0.2, 1.0, 23).tolist()

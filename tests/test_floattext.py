@@ -1,0 +1,65 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from krein_string.floattext import format_block
+
+
+def repr_join(block):
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+
+
+def both_signs(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, -values])
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=96),
+    st.integers(min_value=1, max_value=6),
+)
+def test_raw_bit_patterns_match_repr(patterns, cols):
+    # any 64-bit pattern: normals, subnormals, zeros, infinities, every NaN
+    bits = np.array(patterns * cols, dtype=np.uint64).reshape(-1, cols)
+    block = bits.view(np.float64)
+    assert format_block(block) == repr_join(block)
+
+
+SWEEPS = {
+    "powers of two": with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+    "powers of ten": with_neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+    "first subnormals": np.arange(1, 3001, dtype=np.uint64).view(np.float64),
+    "integers": np.arange(3001, dtype=np.float64),
+    "notation edges": with_neighbours([1e16, 1e-4]),
+    "limits": [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf, np.nan],
+}
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_matches_repr_at_both_signs(name):
+    values = both_signs(SWEEPS[name])
+    for cols in (1, 7):
+        block = values[: len(values) // cols * cols].reshape(-1, cols)
+        assert format_block(block) == repr_join(block), (name, cols)
+
+
+def test_shortest_closest_digits():
+    # the one-digit shortening at s >= 10 and the subnormals Java pads
+    block = np.array([[5e-324, 1e-323, 0.1, 0.3, 2.0**-1074 * 3, 9007199254740993.0, 1e23]])
+    assert format_block(block) == "5e-324,1e-323,0.1,0.3,1.5e-323,9007199254740992.0,1e+23\n"
+
+
+def test_layout_of_each_notation():
+    block = np.array([[-0.0, 100.0, -1e15, 1e16, 0.0001, -1.5e-05, 1e-310], [np.nan, -np.inf, np.inf, 0.5, -2.0, 7e22, 12.0]])
+    assert format_block(block) == (
+        "-0.0,100.0,-1000000000000000.0,1e+16,0.0001,-1.5e-05,1e-310\n"
+        "nan,-inf,inf,0.5,-2.0,7e+22,12.0\n"
+    )
+    assert format_block(np.empty((0, 3))) == ""
