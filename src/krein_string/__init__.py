@@ -9,7 +9,6 @@ point-mass approximation.
 """
 
 from .errors import (
-    DegenerateSpectrumError,
     GridError,
     KreinStringError,
     RankError,
@@ -22,23 +21,14 @@ from .model import (
     StringSpec,
     SystemMatrices,
     build_matrices,
-    positions,
     read_spec_file,
     validate_spec,
 )
-from .spectral import (
-    SpectralData,
-    compute_spectral_data,
-    evaluate_polynomials,
-    spectral_function,
-)
+from .spectral import SpectralData, compute_spectral_data
 from .forward import (
     TimeGrid,
     Trajectory,
     Waveform,
-    apply_response_operator,
-    check_integral_equation,
-    continuous_solution,
     mollified_delta,
     response_function,
     solve_forward_delta,
@@ -55,14 +45,12 @@ from .inverse import (
 from .bessel import bessel_j, bessel_j_grid, bessel_j_ladder
 from .uniform import (
     TestFunction,
-    chebyshev_u,
     delta_solution,
     pair_corrected_response,
     pair_response,
     pair_solution_with_sine,
     parse_test_function,
     uniform_eigen,
-    uniform_spec,
 )
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ import numpy as np
 
 from . import uniform
 from .errors import (
-    DegenerateSpectrumError,
     GridError,
     RankError,
     RecoveryError,
@@ -89,7 +88,6 @@ _CONFIG_ERRORS = (SpecError, GridError, ValueError)
 _NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
     StabilityError,
-    DegenerateSpectrumError,
     RankError,
     RecoveryError,
     TruncationError,

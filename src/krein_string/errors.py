@@ -22,11 +22,6 @@ class StabilityError(KreinStringError, RuntimeError):
     """Time step too coarse for the stiffest mode (Nyquist or RK4 bound)."""
 
 
-class DegenerateSpectrumError(KreinStringError, RuntimeError):
-    """Eigenvalues closer than ``spectral.GAP_TOL`` relative to the largest;
-    the message names the pair and its gap."""
-
-
 class RankError(KreinStringError, RuntimeError):
     """Connector rank degenerate or inconsistent with the requested solve."""
 

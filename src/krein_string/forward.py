@@ -1,4 +1,4 @@
-"""Forward dynamics: spectral solver, time-stepping oracle, response operator.
+"""Forward dynamics: spectral solver, time-stepping oracle, response function.
 
 Boundary-driven motion is one modal expansion.  With mass-orthonormal modes
 v_k and nu_k = sqrt(|lambda_k|), the impulse response
@@ -17,8 +17,8 @@ M u_tt = A u + (f/l_1, 0, ..) in first-order form; the step is linear, so
 it is applied as one propagator matrix plus three forcing columns, and
 the half-step control values come from a four-point midpoint rule.
 
-(R f)(t) = int_0^t r(t-s) f(s) ds = u_1^f(t); the same discrete
-convolution backs both identities, so they agree to rounding.
+(R f)(t) = int_0^t r(t-s) f(s) ds = u_1^f(t); the tests apply R with the
+same discrete convolution, so the two agree to rounding.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, StabilityError
-from .model import StringSpec, SystemMatrices, _as_readonly, positions
+from .model import SystemMatrices, _as_readonly
 from .spectral import SpectralData, symmetric_reduction
 
 # Undersampled modal sines silently corrupt the quadrature; hard guard.
@@ -63,11 +63,6 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
-
-    def compatible(self, other: "TimeGrid") -> bool:
-        return self.n_steps == other.n_steps and np.isclose(
-            self.horizon, other.horizon, rtol=1e-12, atol=0.0
-        )
 
 
 @dataclass(frozen=True)
@@ -321,64 +316,3 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
 def response_function(data: SpectralData, l1: float, grid: TimeGrid) -> Waveform:
     """r(t) = (1/l_1) sum_k sin(nu_k t) v_1k^2 / nu_k on the grid."""
     return Waveform(grid=grid, values=_impulse_response(data, l1, grid, [0])[:, 0])
-
-
-def apply_response_operator(r: Waveform, f: Waveform) -> Waveform:
-    """(R f)(t) = int_0^t r(t-s) f(s) ds by trapezoid convolution."""
-    if not r.grid.compatible(f.grid):
-        raise GridError("response and control must share one grid")
-    out = causal_convolution(r.values, f.values, r.grid.dt)
-    return Waveform(grid=r.grid, values=out)
-
-
-def continuous_solution(
-    spec: StringSpec,
-    traj: Trajectory,
-    f: Waveform,
-    x: float,
-    t_index: int,
-) -> float:
-    """Piecewise-affine interpolant in x: f(t) at x=0, u_i(t) at masses, 0 at x=l."""
-    xs = positions(spec)
-    if x < 0.0 or x > xs[-1]:
-        raise ValueError(f"x={x} outside [0, {xs[-1]}]")
-    nodes = np.concatenate(([f.values[t_index]], traj.states[t_index], [0.0]))
-    seg = int(np.searchsorted(xs, x, side="right")) - 1
-    if seg >= len(xs) - 1:
-        return float(nodes[-1])
-    frac = (x - xs[seg]) / (xs[seg + 1] - xs[seg])
-    return float((1.0 - frac) * nodes[seg] + frac * nodes[seg + 1])
-
-
-def check_integral_equation(spec: StringSpec, traj: Trajectory, f: Waveform) -> float:
-    """Max residual of the equivalent integral equation at the mass points.
-
-    For atomic mass the left side is the finite sum
-    sum_{x_j < x_i} x_j (x_i - x_j) m_j u_j(t); the right side pairs time
-    integrals of (t - s) against f + u_i and against the exact spatial
-    integral of the affine interpolant.  Both converge at O(dt^2).
-    """
-    if not traj.grid.compatible(f.grid):
-        raise GridError("trajectory and control must share one grid")
-    grid = traj.grid
-    t = grid.times
-    xs = positions(spec)
-    u = traj.states
-    n_mass = spec.n_masses
-
-    # per-segment exact integrals of the affine interpolant, per time
-    nodes = np.column_stack([f.values, u, np.zeros(grid.n_steps + 1)])
-    seg_int = 0.5 * spec.lengths * (nodes[:, :-1] + nodes[:, 1:])
-
-    worst = 0.0
-    for i in range(1, n_mass + 1):
-        if i > 1:
-            coef = xs[1:i] * (xs[i] - xs[1:i]) * spec.masses[: i - 1]
-            lhs = u[:, : i - 1] @ coef
-        else:
-            lhs = np.zeros(grid.n_steps + 1)
-        spatial = np.sum(seg_int[:, :i], axis=1)
-        rhs = xs[i] * causal_convolution(t, f.values + u[:, i - 1], grid.dt)
-        rhs -= 2.0 * causal_convolution(t, spatial, grid.dt)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst

@@ -87,8 +87,9 @@ class SystemMatrices:
     """Stiffness/mass pair of the string's ODE system.
 
     ``couplings`` holds the full sequence a_0..a_{N-1} = 1/l_1..1/l_N; the
-    stiffness matrix of order N-1 uses a_1..a_{N-2} off-diagonal, but the
-    two edge values close the polynomial recursion in :mod:`spectral`.
+    stiffness matrix of order N-1 uses a_1..a_{N-2} off-diagonal, and the
+    two edge values enter the diagonal and close the polynomial recursion
+    of :mod:`spectral`.
     """
 
     couplings: np.ndarray
@@ -123,11 +124,6 @@ class SystemMatrices:
             a += np.diag(off, 1) + np.diag(off, -1)
         return a
 
-    @property
-    def mass(self) -> np.ndarray:
-        """Dense diagonal M (order N-1)."""
-        return np.diag(self.masses)
-
 
 def validate_spec(raw) -> StringSpec:
     """Validate a candidate string record.
@@ -152,14 +148,6 @@ def validate_spec(raw) -> StringSpec:
 def build_matrices(spec: StringSpec) -> SystemMatrices:
     """Assemble the stiffness/mass pair from a validated spec."""
     return SystemMatrices(couplings=1.0 / spec.lengths, masses=spec.masses)
-
-
-def positions(spec: StringSpec) -> np.ndarray:
-    """Node coordinates x_0=0 < x_1 < ... < x_N = total length."""
-    out = np.empty(spec.n_segments + 1)
-    out[0] = 0.0
-    np.cumsum(spec.lengths, out=out[1:])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +185,3 @@ def parse_spec_text(text: str) -> StringSpec:
 def read_spec_file(path) -> StringSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_spec_text(fh.read())
-
-
-def format_spec(spec: StringSpec) -> str:
-    lengths = ",".join(repr(float(v)) for v in spec.lengths)
-    masses = ",".join(repr(float(v)) for v in spec.masses)
-    return f"lengths={lengths}\nmasses={masses}\n"
-

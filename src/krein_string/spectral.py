@@ -1,4 +1,4 @@
-"""Spectral data of the string: orthogonal polynomials, eigenvalues, modes.
+"""Spectral data of the string: eigenvalues and mass-orthonormal modes.
 
 The polynomials phi_n(lam) solve the three-term Cauchy problem
 
@@ -14,6 +14,12 @@ mass-orthonormal modes v_k with first component v_1k >= 0.  The eigenvector
 with phi_1 = 1 is v_k / v_1k, so omega_k = (M phi^k, phi^k) = 1/v_1k^2 and
 mu(lam) = sum_{lam_k < lam} v_1k^2; nothing divides by v_1k, and a mode the
 boundary cannot see (v_1k = 0) has weight ``inf``.
+
+The couplings are nonzero, so the spectrum is simple (Gantmacher and Krein),
+but a nearly decoupled string has eigenvalues equal to rounding.  Such a
+cluster is kept: its modes are any mass-orthonormal basis that ``eigh``
+returns, so only the summed v_1k^2 of the cluster is fixed, and every modal
+sum over it is unaffected.
 """
 
 from __future__ import annotations
@@ -22,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
 from .model import SystemMatrices, _as_readonly
-
-# Relative eigenvalue gap below which the spectrum is reported degenerate;
-# the finite string always has simple spectrum, so this flags bad scaling.
-GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,46 +66,9 @@ def symmetric_reduction(mats: SystemMatrices) -> np.ndarray:
     return np.diag(mats.diag / mats.masses) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def evaluate_polynomials(mats: SystemMatrices, lam: float) -> np.ndarray:
-    """Run the Cauchy recursion; returns (phi_1(lam), ..., phi_N(lam)).
-
-    The terminal entry phi_N vanishes exactly at eigenvalues of the
-    generalized problem.
-    """
-    a = mats.couplings
-    b = mats.diag
-    m = mats.masses
-    n_state = mats.order
-    out = np.empty(n_state + 1)
-    phi_prev = 0.0
-    phi = 1.0
-    out[0] = phi
-    for n in range(1, n_state + 1):
-        phi_next = ((lam * m[n - 1] - b[n - 1]) * phi - a[n - 1] * phi_prev) / a[n]
-        phi_prev, phi = phi, phi_next
-        out[n] = phi
-    return out
-
-
 def compute_spectral_data(mats: SystemMatrices) -> SpectralData:
     """Eigenvalues and mass-orthonormal modes of A phi = lam M phi."""
     lam, sym_vecs = np.linalg.eigh(symmetric_reduction(mats))
-
-    if mats.order > 1:
-        gaps = np.diff(lam) / np.max(np.abs(lam))
-        worst = int(np.argmin(gaps))
-        if gaps[worst] < GAP_TOL:
-            raise DegenerateSpectrumError(
-                f"near-multiple eigenvalues: relative gap {gaps[worst]:.3e} "
-                f"between modes {worst + 1} and {worst + 2} "
-                f"(lambda={lam[worst]:.6e}, {lam[worst + 1]:.6e})"
-            )
-
     modes = sym_vecs.T / np.sqrt(mats.masses)
     modes[modes[:, 0] < 0.0] *= -1.0
     return SpectralData(eigenvalues=lam, modes=modes)
-
-
-def spectral_function(data: SpectralData, lam: float) -> float:
-    """Right-continuous step function mu(lam) = sum_{lam_k < lam} 1/omega_k."""
-    return float(np.sum(data.modes[data.eigenvalues < lam, 0] ** 2))

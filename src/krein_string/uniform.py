@@ -33,32 +33,10 @@ import numpy as np
 # caller can rebind all three together; bessel_j is kept among them unused.
 from .bessel import bessel_j, bessel_j_grid, bessel_j_ladder  # noqa: F401
 from .errors import TruncationError
-from .model import StringSpec
 from .spectral import SpectralData
 
 # |J_2(s)| <= _J2_ENVELOPE / sqrt(s) for s >= 1/2; used in truncation bounds.
 _J2_ENVELOPE = 0.9
-
-
-def uniform_spec(n: int) -> StringSpec:
-    """StringSpec with lengths 1/n (n entries) and masses 1/n (n-1 entries)."""
-    if n < 2:
-        raise ValueError("uniform case needs n >= 2")
-    return StringSpec(lengths=np.full(n, 1.0 / n), masses=np.full(n - 1, 1.0 / n))
-
-
-def chebyshev_u(m: int, x):
-    """Chebyshev polynomial of the second kind by the three-term recurrence."""
-    if m < 0:
-        raise ValueError("degree must be non-negative")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if m == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 2.0 * x
-    for _ in range(m - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur if cur.ndim else float(cur)
 
 
 def uniform_eigen(n: int) -> SpectralData:

@@ -1,0 +1,144 @@
+"""Reference code the tests compare the package against.
+
+Nothing in the package calls these.  They evaluate the paper's identities
+directly: the Cauchy recursion for the polynomials phi_n, the spectral
+function mu, the response operator R, the piecewise-affine interpolant in x
+and the residual of the equivalent integral equation, plus the Chebyshev
+recurrence and the uniform string that the closed forms are checked on.
+"""
+
+import numpy as np
+
+from krein_string import StringSpec, TimeGrid, Trajectory, Waveform
+from krein_string.errors import GridError
+from krein_string.forward import causal_convolution
+from krein_string.model import SystemMatrices
+from krein_string.spectral import SpectralData
+
+
+def uniform_spec(n: int) -> StringSpec:
+    """StringSpec with lengths 1/n (n entries) and masses 1/n (n-1 entries)."""
+    if n < 2:
+        raise ValueError("uniform case needs n >= 2")
+    return StringSpec(lengths=np.full(n, 1.0 / n), masses=np.full(n - 1, 1.0 / n))
+
+
+def positions(spec: StringSpec) -> np.ndarray:
+    """Node coordinates x_0=0 < x_1 < ... < x_N = total length."""
+    out = np.empty(spec.n_segments + 1)
+    out[0] = 0.0
+    np.cumsum(spec.lengths, out=out[1:])
+    return out
+
+
+def format_spec(spec: StringSpec) -> str:
+    """The spec-file text of ``spec``, which ``parse_spec_text`` reads back."""
+    lengths = ",".join(repr(float(v)) for v in spec.lengths)
+    masses = ",".join(repr(float(v)) for v in spec.masses)
+    return f"lengths={lengths}\nmasses={masses}\n"
+
+
+def evaluate_polynomials(mats: SystemMatrices, lam: float) -> np.ndarray:
+    """Run the Cauchy recursion; returns (phi_1(lam), ..., phi_N(lam)).
+
+    The terminal entry phi_N vanishes exactly at eigenvalues of the
+    generalized problem.
+    """
+    a = mats.couplings
+    b = mats.diag
+    m = mats.masses
+    n_state = mats.order
+    out = np.empty(n_state + 1)
+    phi_prev = 0.0
+    phi = 1.0
+    out[0] = phi
+    for n in range(1, n_state + 1):
+        phi_next = ((lam * m[n - 1] - b[n - 1]) * phi - a[n - 1] * phi_prev) / a[n]
+        phi_prev, phi = phi, phi_next
+        out[n] = phi
+    return out
+
+
+def spectral_function(data: SpectralData, lam: float) -> float:
+    """Right-continuous step function mu(lam) = sum_{lam_k < lam} 1/omega_k."""
+    return float(np.sum(data.modes[data.eigenvalues < lam, 0] ** 2))
+
+
+def chebyshev_u(m: int, x):
+    """Chebyshev polynomial of the second kind by the three-term recurrence."""
+    if m < 0:
+        raise ValueError("degree must be non-negative")
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if m == 0:
+        return prev if prev.ndim else float(prev)
+    cur = 2.0 * x
+    for _ in range(m - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur if cur.ndim else float(cur)
+
+
+def same_grid(a: TimeGrid, b: TimeGrid) -> bool:
+    """Equal step counts and horizons equal to 1e-12 relative."""
+    return a.n_steps == b.n_steps and np.isclose(a.horizon, b.horizon, rtol=1e-12, atol=0.0)
+
+
+def apply_response_operator(r: Waveform, f: Waveform) -> Waveform:
+    """(R f)(t) = int_0^t r(t-s) f(s) ds by trapezoid convolution."""
+    if not same_grid(r.grid, f.grid):
+        raise GridError("response and control must share one grid")
+    out = causal_convolution(r.values, f.values, r.grid.dt)
+    return Waveform(grid=r.grid, values=out)
+
+
+def continuous_solution(
+    spec: StringSpec,
+    traj: Trajectory,
+    f: Waveform,
+    x: float,
+    t_index: int,
+) -> float:
+    """Piecewise-affine interpolant in x: f(t) at x=0, u_i(t) at masses, 0 at x=l."""
+    xs = positions(spec)
+    if x < 0.0 or x > xs[-1]:
+        raise ValueError(f"x={x} outside [0, {xs[-1]}]")
+    nodes = np.concatenate(([f.values[t_index]], traj.states[t_index], [0.0]))
+    seg = int(np.searchsorted(xs, x, side="right")) - 1
+    if seg >= len(xs) - 1:
+        return float(nodes[-1])
+    frac = (x - xs[seg]) / (xs[seg + 1] - xs[seg])
+    return float((1.0 - frac) * nodes[seg] + frac * nodes[seg + 1])
+
+
+def check_integral_equation(spec: StringSpec, traj: Trajectory, f: Waveform) -> float:
+    """Max residual of the equivalent integral equation at the mass points.
+
+    For atomic mass the left side is the finite sum
+    sum_{x_j < x_i} x_j (x_i - x_j) m_j u_j(t); the right side pairs time
+    integrals of (t - s) against f + u_i and against the exact spatial
+    integral of the affine interpolant.  Both converge at O(dt^2).
+    """
+    if not same_grid(traj.grid, f.grid):
+        raise GridError("trajectory and control must share one grid")
+    grid = traj.grid
+    t = grid.times
+    xs = positions(spec)
+    u = traj.states
+    n_mass = spec.n_masses
+
+    # per-segment exact integrals of the affine interpolant, per time
+    nodes = np.column_stack([f.values, u, np.zeros(grid.n_steps + 1)])
+    seg_int = 0.5 * spec.lengths * (nodes[:, :-1] + nodes[:, 1:])
+
+    worst = 0.0
+    for i in range(1, n_mass + 1):
+        if i > 1:
+            coef = xs[1:i] * (xs[i] - xs[1:i]) * spec.masses[: i - 1]
+            lhs = u[:, : i - 1] @ coef
+        else:
+            lhs = np.zeros(grid.n_steps + 1)
+        spatial = np.sum(seg_int[:, :i], axis=1)
+        rhs = xs[i] * causal_convolution(t, f.values + u[:, i - 1], grid.dt)
+        rhs -= 2.0 * causal_convolution(t, spatial, grid.dt)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst

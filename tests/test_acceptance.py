@@ -21,6 +21,7 @@ from krein_string.inverse import ConnectorFactorization
 from krein_string.uniform import constant_one, gaussian_bump, image_sum
 
 from conftest import random_spec
+from reference import check_integral_equation, chebyshev_u, uniform_spec
 
 SUITE_SEED = 2024
 
@@ -81,7 +82,7 @@ def test_criterion_2_integral_equation_residual():
             grid = ks.TimeGrid(base.horizon, n_steps)
             f = smooth_control(grid)
             traj = ks.solve_forward_spectral(mats, data, f, float(spec.lengths[0]))
-            residuals[n_steps] = ks.check_integral_equation(spec, traj, f)
+            residuals[n_steps] = check_integral_equation(spec, traj, f)
         worst = max(worst, residuals[base.n_steps])
         if residuals[base.n_steps] > 1e-12:  # single-mass strings sit at rounding level
             worst_ratio = min(worst_ratio, residuals[base.n_steps] / residuals[2 * base.n_steps])
@@ -95,7 +96,7 @@ def test_criterion_3_uniform_closed_forms():
     eig_err = 0.0
     for n in range(2, 51):
         closed = ks.uniform_eigen(n)
-        generic = ks.compute_spectral_data(ks.build_matrices(ks.uniform_spec(n)))
+        generic = ks.compute_spectral_data(ks.build_matrices(uniform_spec(n)))
         eig_err = max(
             eig_err,
             float(np.max(np.abs(closed.eigenvalues - generic.eigenvalues) / np.abs(generic.eigenvalues))),
@@ -104,7 +105,7 @@ def test_criterion_3_uniform_closed_forms():
     ort_err = 0.0
     for n in (8, 32, 64):
         x_k = np.cos(np.arange(1, n) * np.pi / n)
-        table = np.array([ks.chebyshev_u(i, x_k) for i in range(n - 1)])
+        table = np.array([chebyshev_u(i, x_k) for i in range(n - 1)])
         gram = table @ ((1.0 - x_k**2)[:, None] * table.T)
         ort_err = max(ort_err, float(np.max(np.abs(gram - np.eye(n - 1) * n / 2.0))))
 

@@ -7,18 +7,14 @@ from krein_string import (
     StringSpec,
     TimeGrid,
     Waveform,
-    apply_response_operator,
     build_matrices,
-    check_integral_equation,
     compute_spectral_data,
-    continuous_solution,
     mollified_delta,
     response_function,
     solve_forward_delta,
     solve_forward_ode,
     solve_forward_spectral,
     uniform_eigen,
-    uniform_spec,
 )
 from krein_string import forward
 from krein_string.bessel import bessel_j_grid
@@ -39,6 +35,12 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.signal import fftconvolve
 
 from conftest import random_spec
+from reference import (
+    apply_response_operator,
+    check_integral_equation,
+    continuous_solution,
+    uniform_spec,
+)
 
 SINGLE_SPEC = StringSpec([0.5, 0.5], [1.0])
 SINGLE = build_matrices(SINGLE_SPEC)

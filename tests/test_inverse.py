@@ -17,7 +17,6 @@ from krein_string import (
     recover_string,
     response_function,
     solve_forward_spectral,
-    uniform_spec,
 )
 from krein_string import inverse
 from krein_string.errors import RecoveryError
@@ -29,6 +28,7 @@ from krein_string.inverse import (
 )
 
 from conftest import random_spec
+from reference import uniform_spec
 
 
 def exact_response(spec, grid, oversample=8):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krein_string import SpecError, StringSpec, build_matrices, positions, validate_spec
-from krein_string.model import format_spec, parse_spec_text
+from krein_string import SpecError, StringSpec, build_matrices, validate_spec
+from krein_string.model import parse_spec_text
 
 from conftest import random_spec
+from reference import format_spec, positions
 
 positive = st.floats(min_value=0.1, max_value=2.0, allow_nan=False)
 
@@ -43,14 +44,14 @@ def test_validate_accepts_pair_and_passthrough():
 def test_build_matrices_single_mass():
     mats = build_matrices(StringSpec([0.5, 0.5], [1.0]))
     assert np.array_equal(mats.stiffness, [[-4.0]])
-    assert np.array_equal(mats.mass, [[1.0]])
+    assert np.array_equal(np.diag(mats.masses), [[1.0]])
 
 
 def test_build_matrices_uniform_three():
     # three equal segments on (0,1): A = 3 * [[-2, 1], [1, -2]], M = I/3
     mats = build_matrices(StringSpec([1 / 3] * 3, [1 / 3] * 2))
     assert np.allclose(mats.stiffness, 3.0 * np.array([[-2.0, 1.0], [1.0, -2.0]]))
-    assert np.allclose(mats.mass, np.eye(2) / 3.0)
+    assert np.allclose(np.diag(mats.masses), np.eye(2) / 3.0)
 
 
 def test_build_matrices_mixed_lengths():
