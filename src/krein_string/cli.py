@@ -3,17 +3,15 @@
 Every output file opens with a comment echoing the full configuration as
 the command line that reruns it, and reruns with the same configuration
 produce byte-identical files.  Floats are written with shortest round-trip
-precision, the bytes of ``repr``, index columns as ints.  The long tables of
-``forward`` and ``response`` (``_TableRows``) are formatted by
-``floattext.format_block``, a float64 block at a time, without a ``repr``
-per field; every other table joins ``repr`` of its Python floats.  A long
-table is formatted in P contiguous row ranges, P = min(CPUs the process may
-use, fields // ``_MIN_PART_FIELDS``) and at least 1: where ``os.fork`` and
-``os.sched_getaffinity`` exist, a forked child formats each range after the
-first into a temporary file and does nothing else, and the bytes are the
-same for every P.  Python 3.12 and later issue a ``DeprecationWarning`` for
-that ``fork()``, since numpy's OpenBLAS threads are running.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure, 4 I/O failure.
+precision, the bytes of ``repr``, index columns as ints.  Short tables
+stream in one pass, a ``repr`` join per row.  Only the long tables of
+``forward`` and ``response`` (``_TableRows``) are split: ``_write_csv``
+formats them with ``floattext.format_block`` in up to one part per usable
+CPU, each part after the first in a forked child, and the bytes do not
+depend on the split.  Python 3.12 and later issue a ``DeprecationWarning``
+for that ``fork()``, since numpy's OpenBLAS threads are running.  Exit
+codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -24,10 +22,8 @@ import shlex
 import shutil
 import sys
 import tempfile
-from collections.abc import Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +57,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-# Rows formatted and written per block of a list or an iterator of rows, so a
-# long table is never held whole as Python floats or text.
-_BLOCK_ROWS = 1024
 
 # Fields per block of a ``_TableRows`` table, which ``format_block`` formats:
 # its temporaries stay near 1 MB.  Writing the eight forward-uniform tables of
@@ -125,41 +117,28 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _write_rows(fh, rows) -> None:
-    if isinstance(rows, _TableRows):
-        for block in rows.blocks():
-            fh.write(format_block(block))
-        return
-    rows = iter(rows)
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        fh.writelines([",".join(map(repr, row)) + "\n" for row in block])
-
-
 def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
-    """Write the echo line, the header and then ``rows``: a ``_TableRows``
-    table, written by ``format_block`` ``_BLOCK_FIELDS`` fields at a time, or
-    an iterable of rows of plain Python ints and floats (build them with
-    ``tolist()``), so ``repr`` writes what ``_fmt`` would (an ``np.float64``
-    would not), ``_BLOCK_ROWS`` at a time.  A generator of rows is never held
-    whole, and the bytes are those of one join of every line's ``repr``.
+    """Write the echo line, the header and then ``rows``.
 
-    Rows given as a ``Sequence`` (a list, ``_TableRows``) are cut into P
-    contiguous parts, P = min(usable CPUs, fields // ``_MIN_PART_FIELDS``)
-    and at least 1.  A forked child formats each part after the first into
+    Rows other than a ``_TableRows`` table are short and stream in one pass;
+    they hold plain Python ints and floats (build them with ``tolist()``),
+    so ``repr`` writes what ``_fmt`` would (an ``np.float64`` would not).
+    A table is cut into P = min(usable CPUs, fields // ``_MIN_PART_FIELDS``)
+    parts, at least 1.  A forked child writes each part after the first into
     an anonymous temporary file and leaves through ``os._exit``, while this
-    process writes the first part; the others are appended in order once
-    every child is reaped.  A child that fails makes this raise ``OSError``.
+    process writes the first; the others are appended in order once every
+    child is reaped, and a child that fails makes this raise ``OSError``.
+    Either way the bytes are those of one join of every line's ``repr``.
     """
-    parts = [rows]
-    if isinstance(rows, Sequence):
-        fields = len(rows) * len(header)
-        n_parts = max(1, min(_usable_cpus(), fields // _MIN_PART_FIELDS))
-        cuts = [len(rows) * k // n_parts for k in range(n_parts + 1)]
-        parts = [rows[a:b] for a, b in zip(cuts, cuts[1:])]
     path.parent.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         fh = stack.enter_context(open(path, "w", encoding="utf-8"))
         fh.write(f"# {config.echo()}\n{','.join(header)}\n")
+        if not isinstance(rows, _TableRows):
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            return
+        fields = len(rows.times) * len(header)
+        parts = rows.split(max(1, min(_usable_cpus(), fields // _MIN_PART_FIELDS)))
         spills, pids = [], []
         try:
             for part in parts[1:]:
@@ -171,13 +150,13 @@ def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
                     # flushes no inherited buffer and runs no caller code
                     code = 1
                     try:
-                        _write_rows(spill, part)
+                        part.write(spill)
                         spill.flush()
                         code = 0
                     finally:
                         os._exit(code)
                 pids.append(pid)
-            _write_rows(fh, parts[0])
+            parts[0].write(fh)
         finally:
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
         if any(codes):
@@ -187,33 +166,30 @@ def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
             shutil.copyfileobj(spill, fh)
 
 
-class _TableRows(Sequence):
-    """Rows (t_j, values[j]...) of a time grid and its samples.  ``_write_csv``
-    formats them with ``format_block`` a float64 block of about
-    ``_BLOCK_FIELDS`` fields at a time; iterating gives the same rows as
-    plain Python floats, ``tolist()`` of one block at a time.  A slice is a
-    view of the same arrays, so a table is cut into parts without being held
-    whole."""
+@dataclass
+class _TableRows:
+    """Rows (t_j, values[j]...) of a time grid and its samples, written by
+    ``format_block`` about ``_BLOCK_FIELDS`` fields at a time; iterating
+    gives the same rows as plain Python floats.  ``split`` cuts them into
+    contiguous parts, views of the same arrays, so no part is copied."""
 
-    def __init__(self, times: np.ndarray, values: np.ndarray):
-        self._times = times
-        self._values = values
+    times: np.ndarray
+    values: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _TableRows(self._times[index], self._values[index])
-        start = range(len(self))[index]
-        return next(iter(self[start : start + 1]))
+    def split(self, n_parts: int) -> list[_TableRows]:
+        cuts = [len(self.times) * k // n_parts for k in range(n_parts + 1)]
+        return [_TableRows(self.times[a:b], self.values[a:b]) for a, b in zip(cuts, cuts[1:])]
 
     def blocks(self):
-        columns = 1 + (self._values.shape[1] if self._values.ndim > 1 else 1)
+        columns = 1 + (self.values.shape[1] if self.values.ndim > 1 else 1)
         step = max(1, _BLOCK_FIELDS // columns)
-        for start in range(0, len(self), step):
+        for start in range(0, len(self.times), step):
             block = slice(start, start + step)
-            yield np.column_stack([self._times[block], self._values[block]])
+            yield np.column_stack([self.times[block], self.values[block]])
+
+    def write(self, fh) -> None:
+        for block in self.blocks():
+            fh.write(format_block(block))
 
     def __iter__(self):
         for block in self.blocks():
@@ -275,13 +251,15 @@ def _read_response_csv(path: str) -> Waveform:
     times = []
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("t,"):
                 continue
-            t_str, r_str = line.split(",")
-            times.append(float(t_str))
-            values.append(float(r_str))
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise GridError(f"{path}: line {number} has {len(fields)} fields, expected t,r")
+            times.append(float(fields[0]))
+            values.append(float(fields[1]))
     if len(times) < 3:
         raise GridError(f"{path}: too few samples for a response")
     if abs(times[0]) > 1e-12:

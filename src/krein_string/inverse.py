@@ -370,10 +370,6 @@ class RecoveryResult:
     controls: tuple[Waveform, ...]
     diagnostics: RecoveryDiagnostics
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.recovered_lengths)
-
 
 def recover_string(
     r: Waveform,

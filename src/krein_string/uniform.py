@@ -30,7 +30,9 @@ from typing import Callable
 import numpy as np
 
 # The pairings call the Bessel functions through these module names, so a
-# caller can rebind all three together; bessel_j is kept among them unused.
+# caller can rebind all three together.  bessel_j is unused here but stays:
+# the benchmark's uniform sweep reads all three names off this module, and
+# its tracer rebinds each of them.
 from .bessel import bessel_j, bessel_j_grid, bessel_j_ladder  # noqa: F401
 from .errors import TruncationError
 from .spectral import SpectralData

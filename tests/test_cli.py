@@ -23,7 +23,6 @@ from krein_string import (
 )
 from krein_string import cli
 from krein_string.cli import (
-    _BLOCK_ROWS,
     _MIN_PART_FIELDS,
     RunConfig,
     _fmt,
@@ -176,6 +175,18 @@ def test_invert_rejects_a_response_not_starting_at_zero(tmp_path, small_response
     err = capsys.readouterr().err
     assert err.startswith("error_code=2 ")
     assert "response must start at t = 0, first sample at t = 0.1" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row", ["0.0,0.0,1", "0.0"])
+def test_invert_names_the_line_of_a_row_without_two_fields(tmp_path, small_response, capsys, row):
+    path = Path(small_response())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([*lines[:2], row, *lines[3:]]) + "\n", encoding="utf-8")
+    assert invert_small(str(path), tmp_path / "out") == 2
+    fields = row.count(",") + 1
+    expected = f"error_code=2 detail={path}: line 3 has {fields} fields, expected t,r\n"
+    assert capsys.readouterr().err == expected
     assert not (tmp_path / "out").exists()
 
 
@@ -427,12 +438,12 @@ def test_write_csv_writes_what_fmt_writes(tmp_path):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["iterator", "list", "table"])
-@pytest.mark.parametrize("n_rows", [3 * _MIN_PART_FIELDS // 4 + _BLOCK_ROWS // 2 + 1, 0])
+@pytest.mark.parametrize("n_rows", [3 * _MIN_PART_FIELDS // 4 + 1001, 0])
 def test_write_csv_writes_the_one_shot_bytes(tmp_path, monkeypatch, n_rows, kind, cpus):
-    # rows are formatted a block at a time, a sequence of them (a list or a
-    # table's view) in up to one part per usable CPU and an iterator in one;
-    # the file is what one join of every line's repr wrote, over 48.5 blocks
-    # of rows (24.3 blocks of fields for the table) in three parts and for a
+    # a table of 3 * _MIN_PART_FIELDS fields and more (24.5 blocks) is
+    # formatted a block at a time in one part per usable CPU, up to three;
+    # a list or an iterator of rows streams in one pass and never forks.  The
+    # file is what one join of every line's repr wrote, also for a
     # header-only table
     forks = []
     fork = os.fork
@@ -454,7 +465,7 @@ def test_write_csv_writes_the_one_shot_bytes(tmp_path, monkeypatch, n_rows, kind
     lines = [f"# {config.echo()}", ",".join(header)]
     lines += [",".join(map(repr, row)) for row in expected]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
-    assert len(forks) == (cpus - 1 if n_rows and kind != "iterator" else 0)
+    assert len(forks) == (cpus - 1 if n_rows and kind == "table" else 0)
 
 
 def test_write_csv_reaps_every_child_when_a_part_fails(tmp_path, monkeypatch, spec_file, capsys):
@@ -462,13 +473,13 @@ def test_write_csv_reaps_every_child_when_a_part_fails(tmp_path, monkeypatch, sp
     # which is an I/O failure, and a part that raises in this process still
     # waits for the children: none is left running or unreaped
     parent = os.getpid()
-    write_rows = cli._write_rows
+    write_part = _TableRows.write
 
     def failing(in_child):
-        def write(fh, rows):
+        def write(self, fh):
             if (os.getpid() != parent) == in_child:
                 raise RuntimeError("part failed")
-            write_rows(fh, rows)
+            write_part(self, fh)
 
         return write
 
@@ -477,8 +488,8 @@ def test_write_csv_reaps_every_child_when_a_part_fails(tmp_path, monkeypatch, sp
             os.waitpid(-1, os.WNOHANG)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    rows = [[float(j)] * 4 for j in range(_MIN_PART_FIELDS)]
-    monkeypatch.setattr(cli, "_write_rows", failing(in_child=True))
+    rows = _TableRows(np.arange(_MIN_PART_FIELDS, dtype=float), np.ones((_MIN_PART_FIELDS, 3)))
+    monkeypatch.setattr(_TableRows, "write", failing(in_child=True))
     with pytest.raises(OSError, match="child process failed"):
         _write_csv(tmp_path / "unit.csv", RunConfig("unit"), ["a", "b", "c", "d"], rows)
     assert_no_child()
@@ -489,7 +500,7 @@ def test_write_csv_reaps_every_child_when_a_part_fails(tmp_path, monkeypatch, sp
     assert run(*argv) == 4
     assert capsys.readouterr().err.startswith("error_code=4 ")
     assert_no_child()
-    monkeypatch.setattr(cli, "_write_rows", failing(in_child=False))
+    monkeypatch.setattr(_TableRows, "write", failing(in_child=False))
     with pytest.raises(RuntimeError, match="part failed"):
         _write_csv(tmp_path / "unit.csv", RunConfig("unit"), ["a", "b", "c", "d"], rows)
     assert_no_child()
@@ -645,3 +656,50 @@ def test_only_roundtrip_takes_a_seed(tmp_path, spec_file, capsys):
     assert run("spectral", "--spec", spec_file, "--seed", "1", "--out", out) == 2
     assert run("uniform-sweep", "--prop", "2", "--N", "8", "--seed", "1", "--out", out) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_tracer_fits_the_commands(tmp_path, monkeypatch, spec_file):
+    # perfbench's tracer rebinds names of cli and the library to timing
+    # wrappers, and its _write_csv hands on every table as a list of rows:
+    # each traced command still exits 0 and writes the untraced bytes (the
+    # long tables of which are split in up to three parts), and restore()
+    # puts every name back
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    from tracing import Instrumentation, Tracer
+
+    from krein_string import forward, inverse, uniform
+
+    common = ["--spec", spec_file, "--T", "1.0"]
+    gauss = ["--control", "gauss:0.3,0.1"]
+    commands = {
+        "gauss": ["forward", *common, "--steps", "70000", *gauss],
+        "delta": ["forward", *common, "--steps", "70000"],
+        "ode": ["forward", *common, "--steps", "2000", *gauss, "--solver", "ode"],
+        "response": ["response", *common, "--steps", "70000"],
+        "roundtrip": ["roundtrip", *common, "--steps", "400"],
+        "uniform": ["uniform-sweep", "--prop", "1", "--N", "8,16"],
+    }
+
+    def outputs():
+        # both runs write to the same paths, which the files' echo lines hold
+        for name, argv in commands.items():
+            assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0, name
+        return {p.relative_to(tmp_path): p.read_bytes() for p in sorted(tmp_path.rglob("*.csv"))}
+
+    untraced = outputs()
+    modules = (cli, forward, inverse, uniform)
+    names = [dict(vars(module)) for module in modules]
+    tracer = Tracer()
+    instrumentation = Instrumentation(tracer)
+    try:
+        traced = outputs()
+    finally:
+        instrumentation.restore()
+    assert [dict(vars(module)) for module in modules] == names
+    assert traced == untraced
+    # every table passed through the tracer's counting writer
+    rows = [line for body in traced.values() for line in body.splitlines()[2:]]
+    assert tracer.counts["cli.rows_written"] == sum(not line.startswith(b"#") for line in rows)
+    spans = {span[0] for span in tracer.spans}
+    assert {"cli.main", "forward.solve_forward_spectral", "forward.solve_forward_ode"} <= spans
