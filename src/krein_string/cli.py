@@ -7,11 +7,11 @@ precision, the bytes of ``repr``, index columns as ints.  Short tables
 stream in one pass, a ``repr`` join per row.  Only the long tables of
 ``forward`` and ``response`` (``_TableRows``) are split: ``_write_csv``
 formats them with ``floattext.format_block`` in up to one part per usable
-CPU, each part after the first in a forked child, and the bytes do not
-depend on the split.  Python 3.12 and later issue a ``DeprecationWarning``
-for that ``fork()``, since numpy's OpenBLAS threads are running.  Exit
-codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
-failure.
+CPU, each part pinned to its CPU and each after the first in a forked
+child, and the bytes do not depend on the split.  Python 3.12 and later
+issue a ``DeprecationWarning`` for that ``fork()``, since numpy's OpenBLAS
+threads are running.  Exit codes: 0 success, 2 configuration error, 3
+numerical failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -117,6 +117,15 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _pin(cpus: set[int]) -> None:
+    """Run this thread on ``cpus`` only, if the OS lets it: an ``OSError``
+    leaves its mask as it was."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
 def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
     """Write the echo line, the header and then ``rows``.
 
@@ -128,6 +137,10 @@ def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
     an anonymous temporary file and leaves through ``os._exit``, while this
     process writes the first; the others are appended in order once every
     child is reaped, and a child that fails makes this raise ``OSError``.
+    Part i is pinned to CPU i of this thread's mask (wrapping around), as
+    far as the OS allows, so a child does not start and stay on its
+    parent's CPU; the thread's mask is restored once the children are
+    reaped.
     Either way the bytes are those of one join of every line's ``repr``.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -140,8 +153,10 @@ def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
         fields = len(rows.times) * len(header)
         parts = rows.split(max(1, min(_usable_cpus(), fields // _MIN_PART_FIELDS)))
         spills, pids = [], []
+        mask = os.sched_getaffinity(0) if len(parts) > 1 else set()
+        cpus = sorted(mask)
         try:
-            for part in parts[1:]:
+            for i, part in enumerate(parts[1:], start=1):
                 spill = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
                 spills.append(spill)
                 pid = os.fork()
@@ -150,15 +165,20 @@ def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
                     # flushes no inherited buffer and runs no caller code
                     code = 1
                     try:
+                        _pin({cpus[i % len(cpus)]})
                         part.write(spill)
                         spill.flush()
                         code = 0
                     finally:
                         os._exit(code)
                 pids.append(pid)
+            if mask:
+                _pin({cpus[0]})
             parts[0].write(fh)
         finally:
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+            if mask:
+                _pin(mask)
         if any(codes):
             raise OSError(f"{path}: formatting rows in a child process failed, exit codes {codes}")
         for spill in spills:
@@ -258,8 +278,11 @@ def _read_response_csv(path: str) -> Waveform:
             fields = line.split(",")
             if len(fields) != 2:
                 raise GridError(f"{path}: line {number} has {len(fields)} fields, expected t,r")
-            times.append(float(fields[0]))
-            values.append(float(fields[1]))
+            try:
+                times.append(float(fields[0]))
+                values.append(float(fields[1]))
+            except ValueError as exc:
+                raise GridError(f"{path}: line {number}: {exc}") from None
     if len(times) < 3:
         raise GridError(f"{path}: too few samples for a response")
     if abs(times[0]) > 1e-12:

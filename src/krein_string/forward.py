@@ -17,6 +17,12 @@ M u_tt = A u + (f/l_1, 0, ..) in first-order form; the step is linear, so
 it is applied as one propagator matrix plus three forcing columns, and
 the half-step control values come from a four-point midpoint rule.
 
+Neither hot path makes a temporary the size of the trajectory.  The
+convolution writes into one preallocated output, the array the trajectory
+keeps, and its transforms and end corrections exist for one chunk of
+``_CHUNK_FIELDS`` kernel fields at a time; the oracle steps in place through
+one buffer of ``_DRIVE_STEPS`` + 1 states, allocating nothing per step.
+
 (R f)(t) = int_0^t r(t-s) f(s) ds = u_1^f(t); the tests apply R with the
 same discrete convolution, so the two agree to rounding.
 """
@@ -37,6 +43,10 @@ NYQUIST_LIMIT = 0.5
 RK4_LIMIT = 2.8
 
 _FFT_THRESHOLD = 512
+
+# Kernel fields one chunk of ``causal_convolution`` covers: its padded
+# transforms then take about 1 MB each, whatever the number of columns.
+_CHUNK_FIELDS = 2**16
 
 # Steps whose RK4 forcing is summed at once: a (steps x 2d) block, not the
 # whole history.
@@ -116,26 +126,44 @@ def causal_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.
     """Trapezoid discretization of int_0^t kernel(t - s) values(s) ds.
 
     A 2-D kernel holds one kernel per column; all columns are convolved
-    with the same values along axis 0.  Above ``_FFT_THRESHOLD`` samples the
-    linear convolution is one zero-padded real FFT product (what
-    ``scipy.signal.fftconvolve`` computes, to the bit); at or below it each
-    column is an exact direct sum (``np.convolve``), so sample j never sees
-    a value past t_j, not even through rounding.
+    with the same values along axis 0 (a 1-D kernel is one such column).
+    Above ``_FFT_THRESHOLD`` samples the linear convolution is one
+    zero-padded real FFT product (what ``scipy.signal.fftconvolve``
+    computes, to the bit); at or below it each column is an exact direct sum
+    (``np.convolve``), so sample j never sees a value past t_j, not even
+    through rounding.
+
+    The columns are convolved ``_CHUNK_FIELDS`` kernel fields (at least one
+    column) at a time into one preallocated output, the array returned: the
+    padded transforms, their product and the end corrections exist for one
+    chunk only.  The corrections and the ``dt`` scale are applied in place,
+    ``full -= a; full -= b; full *= dt``, which rounds exactly as
+    ``dt * (full - a - b)``, and no column's transform depends on another,
+    so the bits are those of one transform of the whole kernel.
     """
     kernel = np.asarray(kernel, dtype=float)
     values = np.asarray(values, dtype=float)
-    if kernel.ndim == 2:
-        values = values[:, None]
+    single = kernel.ndim == 1
+    if single:
+        kernel = kernel[:, None]
     n = len(kernel)
-    if n > _FFT_THRESHOLD:
-        size = _next_fast_len(2 * n - 1)
-        product = np.fft.rfft(kernel, size, axis=0) * np.fft.rfft(values, size, axis=0)
-        full = np.fft.irfft(product, size, axis=0)[:n]
-    elif kernel.ndim == 2:
-        full = np.column_stack([np.convolve(column, values[:, 0])[:n] for column in kernel.T])
-    else:
-        full = np.convolve(kernel, values)[:n]
-    return dt * (full - 0.5 * kernel * values[0] - 0.5 * kernel[0] * values)
+    column = values[:, None]
+    size = _next_fast_len(2 * n - 1) if n > _FFT_THRESHOLD else 0
+    spectrum = np.fft.rfft(column, size, axis=0) if size else None
+    out = np.empty(kernel.shape)
+    width = max(1, _CHUNK_FIELDS // n)
+    for start in range(0, kernel.shape[1], width):
+        chunk = slice(start, start + width)
+        part = kernel[:, chunk]
+        if size:
+            full = np.fft.irfft(np.fft.rfft(part, size, axis=0) * spectrum, size, axis=0)[:n]
+        else:
+            full = np.column_stack([np.convolve(c, values)[:n] for c in part.T])
+        full -= 0.5 * part * values[0]
+        full -= 0.5 * part[0] * column
+        full *= dt
+        out[:, chunk] = full
+    return out[:, 0] if single else out
 
 
 def check_nyquist(data: SpectralData, grid: TimeGrid) -> None:
@@ -277,6 +305,14 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     y_{j+1} = P y_j + f_j c0 + f_{j+1/2} ch + f_{j+1} c1, the four-stage
     step applied once to the basis and the forcing direction
     (``rk4_propagator``); no spectral data enters.
+
+    Besides the positions returned, one (``_DRIVE_STEPS`` + 1, 2d) buffer
+    is allocated: a block's forcing fills its rows 1.., and each step
+    overwrites its row with P y + forcing, y the row before (row 0 carries
+    the state from the block before), so a step allocates nothing.
+    ``prop.dot(y, step)`` calls the same BLAS matrix-vector product as
+    ``prop @ y``, to the bit, but writes into a reused vector and skips the
+    ``matmul`` ufunc's dispatch, a large share of a step this small.
     """
     grid = f.grid
     if grid.n_steps < 3:
@@ -301,19 +337,22 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     direction[d] = 1.0 / (l1 * mats.masses[0])
     prop, c0, ch, c1 = rk4_propagator(op, dt, direction)
 
-    # one state (u, v) is stepped and only the positions u are kept; the
-    # forcing f0 c0 + fh ch + f1 c1 of each step is summed a block of steps
-    # at a time
+    # rows 1.. of states: a block's forcing f0 c0 + fh ch + f1 c1, stepped
+    # in place into the states it reaches; only the positions u are kept
     u = np.zeros((grid.n_steps + 1, d))
-    y = np.zeros(2 * d)
+    states = np.zeros((_DRIVE_STEPS + 1, 2 * d))
+    step = np.empty(2 * d)
     for start in range(0, grid.n_steps, _DRIVE_STEPS):
         steps = slice(start, start + _DRIVE_STEPS)
-        drive = np.multiply.outer(f.values[:-1][steps], c0)
-        drive += np.multiply.outer(f_half[steps], ch)
-        drive += np.multiply.outer(f.values[1:][steps], c1)
-        for j, forcing in enumerate(drive, start + 1):
-            y = prop @ y + forcing
-            u[j] = y[:d]
+        half = f_half[steps]
+        block = states[1 : 1 + len(half)]
+        np.multiply.outer(f.values[:-1][steps], c0, out=block)
+        block += np.multiply.outer(half, ch)
+        block += np.multiply.outer(f.values[1:][steps], c1)
+        for y, row in zip(states, block):
+            np.add(prop.dot(y, step), row, out=row)
+        u[start + 1 : start + 1 + len(block)] = block[:, :d]
+        states[0] = block[-1]
     u.flags.writeable = False
     return Trajectory(grid=grid, states=u)
 

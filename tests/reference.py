@@ -5,13 +5,22 @@ directly: the Cauchy recursion for the polynomials phi_n, the spectral
 function mu, the response operator R, the piecewise-affine interpolant in x
 and the residual of the equivalent integral equation, plus the Chebyshev
 recurrence and the uniform string that the closed forms are checked on.
+The forward solvers' hot paths are held to their plain forms: the trapezoid
+convolution as one transform of the whole kernel, and the RK4 oracle as one
+``prop @ y + forcing`` per step.
 """
 
 import numpy as np
 
 from krein_string import StringSpec, TimeGrid, Trajectory, Waveform
 from krein_string.errors import GridError
-from krein_string.forward import causal_convolution
+from krein_string.forward import (
+    _FFT_THRESHOLD,
+    _midpoint_values,
+    _next_fast_len,
+    causal_convolution,
+    rk4_propagator,
+)
 from krein_string.model import SystemMatrices
 from krein_string.spectral import SpectralData
 
@@ -89,6 +98,43 @@ def apply_response_operator(r: Waveform, f: Waveform) -> Waveform:
         raise GridError("response and control must share one grid")
     out = causal_convolution(r.values, f.values, r.grid.dt)
     return Waveform(grid=r.grid, values=out)
+
+
+def one_shot_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.ndarray:
+    """``causal_convolution`` with every column transformed at once (one
+    direct sum per column at or below ``_FFT_THRESHOLD``) and the end
+    corrections applied out of place."""
+    if kernel.ndim == 2:
+        values = values[:, None]
+    n = len(kernel)
+    if n > _FFT_THRESHOLD:
+        size = _next_fast_len(2 * n - 1)
+        product = np.fft.rfft(kernel, size, axis=0) * np.fft.rfft(values, size, axis=0)
+        full = np.fft.irfft(product, size, axis=0)[:n]
+    elif kernel.ndim == 2:
+        full = np.column_stack([np.convolve(column, values[:, 0])[:n] for column in kernel.T])
+    else:
+        full = np.convolve(kernel, values)[:n]
+    return dt * (full - 0.5 * kernel * values[0] - 0.5 * kernel[0] * values)
+
+
+def stepped_oracle(mats: SystemMatrices, f: Waveform, l1: float) -> np.ndarray:
+    """Positions of the RK4 oracle stepped one ``y = prop @ y + forcing`` at
+    a time, with the propagator and the forcing ``solve_forward_ode`` uses."""
+    d = mats.order
+    op = np.zeros((2 * d, 2 * d))
+    op[:d, d:] = np.eye(d)
+    op[d:, :d] = (1.0 / mats.masses)[:, None] * mats.stiffness
+    direction = np.zeros(2 * d)
+    direction[d] = 1.0 / (l1 * mats.masses[0])
+    prop, c0, ch, c1 = rk4_propagator(op, f.grid.dt, direction)
+    f_half = _midpoint_values(f.values)
+    u = np.zeros((f.grid.n_steps + 1, d))
+    y = np.zeros(2 * d)
+    for j in range(f.grid.n_steps):
+        y = prop @ y + (f.values[j] * c0 + f_half[j] * ch + f.values[j + 1] * c1)
+        u[j + 1] = y[:d]
+    return u
 
 
 def continuous_solution(

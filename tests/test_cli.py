@@ -35,6 +35,15 @@ from krein_string.uniform import image_sum, parse_test_function, uniform_eigen
 SPEC_TEXT = "lengths=0.2,0.3,0.5\nmasses=1.0,2.0\n"
 
 
+@pytest.fixture(autouse=True)
+def cpu_mask():
+    # a split _write_csv restores the CPU mask it read, so under a faked
+    # os.sched_getaffinity it sets the fake; give each test the real one back
+    mask = os.sched_getaffinity(0)
+    yield
+    os.sched_setaffinity(0, mask)
+
+
 @pytest.fixture
 def spec_file(tmp_path):
     path = tmp_path / "string.txt"
@@ -186,6 +195,17 @@ def test_invert_names_the_line_of_a_row_without_two_fields(tmp_path, small_respo
     assert invert_small(str(path), tmp_path / "out") == 2
     fields = row.count(",") + 1
     expected = f"error_code=2 detail={path}: line 3 has {fields} fields, expected t,r\n"
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row", ["0.01,abc", "abc,0.5"])
+def test_invert_names_the_line_of_a_non_numeric_field(tmp_path, small_response, capsys, row):
+    path = Path(small_response())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([*lines[:3], row, *lines[4:]]) + "\n", encoding="utf-8")
+    assert invert_small(str(path), tmp_path / "out") == 2
+    expected = f"error_code=2 detail={path}: line 4: could not convert string to float: 'abc'\n"
     assert capsys.readouterr().err == expected
     assert not (tmp_path / "out").exists()
 
@@ -504,6 +524,37 @@ def test_write_csv_reaps_every_child_when_a_part_fails(tmp_path, monkeypatch, sp
     with pytest.raises(RuntimeError, match="part failed"):
         _write_csv(tmp_path / "unit.csv", RunConfig("unit"), ["a", "b", "c", "d"], rows)
     assert_no_child()
+
+
+def test_write_csv_pins_the_parts_and_gives_the_mask_back(tmp_path, monkeypatch):
+    # a split write runs part i on CPU i of the caller's mask (wrapping
+    # around), this process's part on the first; afterwards the caller's
+    # mask is what it was, also when a child or this process's part fails
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    parent = os.getpid()
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    rows = _TableRows(np.arange(2 * _MIN_PART_FIELDS, dtype=float), np.ones(2 * _MIN_PART_FIELDS))
+    path = tmp_path / "unit.csv"
+
+    def write_mask(self, fh):
+        fh.write(f"{sorted(os.sched_getaffinity(0))}\n")
+
+    monkeypatch.setattr(_TableRows, "write", write_mask)
+    _write_csv(path, RunConfig("unit"), ["t", "r"], rows)
+    masks = path.read_text(encoding="utf-8").splitlines()[2:]
+    assert masks == [str([cpus[i % len(cpus)]]) for i in range(3)]
+    assert os.sched_getaffinity(0) == mask
+    for in_child in (True, False):
+
+        def fail(self, fh):
+            if (os.getpid() != parent) == in_child:
+                raise RuntimeError("part failed")
+
+        monkeypatch.setattr(_TableRows, "write", fail)
+        with pytest.raises(OSError if in_child else RuntimeError):
+            _write_csv(path, RunConfig("unit"), ["t", "r"], rows)
+        assert os.sched_getaffinity(0) == mask
 
 
 def test_forward_peak_memory(tmp_path):
