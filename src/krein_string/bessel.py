@@ -3,11 +3,11 @@
 Thin wrappers over the compiled ``scipy.special.jv``: a scalar value, a fixed
 order over an array of arguments (the quadrature grids of the pairings) and
 the whole order ladder J_0(x) .. J_{n_max}(x) at one argument (the
-uniform-string solutions).  Each wrapper imports ``jv`` when it is called,
-so only the uniform-string pairings load ``scipy.special``; every other
-command runs on numpy alone.  All three reject negative orders and
-arguments, which ``jv`` would accept.  On the ranges the uniform sweeps reach
-(orders up to 512, x up to 1500) the values are within 1e-13 absolute of an
+uniform-string solutions).  ``jv`` is imported when a wrapper is called, so
+only the uniform-string pairings load ``scipy.special``; every other command
+runs on numpy alone.  All three reject negative orders and arguments, which
+``jv`` would accept.  On the ranges the uniform sweeps reach (orders up to
+512, x up to 1500) the values are within 1e-13 absolute of an
 extended-precision reference, which the test suite checks.
 """
 
@@ -16,35 +16,29 @@ from __future__ import annotations
 import numpy as np
 
 
-def bessel_j(n: int, x: float) -> float:
-    """J_n(x) for integer n >= 0, x >= 0."""
+def _jv(n: int, x, ladder: bool = False) -> np.ndarray:
+    """``jv`` at order n, or at each order 0..n if ``ladder``, once n and
+    every argument are checked to be non-negative."""
     from scipy.special import jv
 
     if n < 0:
         raise ValueError("order must be non-negative")
-    if x < 0.0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
         raise ValueError("argument must be non-negative")
-    return float(jv(n, x))
+    return jv(np.arange(n + 1) if ladder else n, x)
+
+
+def bessel_j(n: int, x: float) -> float:
+    """J_n(x) for integer n >= 0, x >= 0."""
+    return float(_jv(n, x))
 
 
 def bessel_j_ladder(n_max: int, x: float) -> np.ndarray:
     """All of J_0(x) .. J_{n_max}(x)."""
-    from scipy.special import jv
-
-    if n_max < 0:
-        raise ValueError("order must be non-negative")
-    if x < 0.0:
-        raise ValueError("argument must be non-negative")
-    return jv(np.arange(n_max + 1), x)
+    return _jv(n_max, x, ladder=True)
 
 
 def bessel_j_grid(n: int, xs) -> np.ndarray:
     """Vectorized J_n over an array of non-negative arguments."""
-    from scipy.special import jv
-
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs < 0.0):
-        raise ValueError("arguments must be non-negative")
-    return jv(n, xs)
+    return _jv(n, xs)

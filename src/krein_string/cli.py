@@ -23,7 +23,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,24 +92,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-@dataclass
-class RunConfig:
-    """Echoed verbatim into every emitted file header."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def echo(self) -> str:
-        """The command line that reruns this configuration: each option as
-        ``--name value`` (the dest with ``-`` for ``_``), shell-quoted; an
-        unset option (``None``) is left out, so its default applies again."""
-        parts = ["krein-string", self.command]
-        for key, value in self.options.items():
-            if value is not None:
-                parts += ["--" + key.replace("_", "-"), shlex.quote(str(value))]
-        return " ".join(parts)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on; 1 where it cannot fork."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
@@ -126,7 +108,7 @@ def _pin(cpus: set[int]) -> None:
         pass
 
 
-def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
+def _write_csv(path: Path, echo: str, header: list[str], rows) -> None:
     """Write the echo line, the header and then ``rows``.
 
     Rows other than a ``_TableRows`` table are short and stream in one pass;
@@ -146,7 +128,7 @@ def _write_csv(path: Path, config: RunConfig, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         fh = stack.enter_context(open(path, "w", encoding="utf-8"))
-        fh.write(f"# {config.echo()}\n{','.join(header)}\n")
+        fh.write(f"# {echo}\n{','.join(header)}\n")
         if not isinstance(rows, _TableRows):
             fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
             return
@@ -228,15 +210,15 @@ def _control_waveform(descriptor: str, grid: TimeGrid) -> Waveform:
 # Commands.
 
 
-def _cmd_spectral(args, config: RunConfig) -> int:
+def _cmd_spectral(args, echo: str) -> int:
     spec = read_spec_file(args.spec)
     data = compute_spectral_data(build_matrices(spec))
     rows = zip(range(1, data.n_modes + 1), data.eigenvalues.tolist(), data.weights.tolist())
-    _write_csv(Path(args.out) / "spectral.csv", config, ["k", "lambda", "omega"], rows)
+    _write_csv(Path(args.out) / "spectral.csv", echo, ["k", "lambda", "omega"], rows)
     return EXIT_OK
 
 
-def _cmd_forward(args, config: RunConfig) -> int:
+def _cmd_forward(args, echo: str) -> int:
     spec = read_spec_file(args.spec)
     mats = build_matrices(spec)
     grid = TimeGrid(horizon=args.T, n_steps=args.steps)
@@ -253,17 +235,17 @@ def _cmd_forward(args, config: RunConfig) -> int:
             traj = solve_forward_spectral(mats, data, control, l1)
     header = ["t"] + [f"u_{i + 1}" for i in range(mats.order)]
     rows = _TableRows(grid.times, traj.states)
-    _write_csv(Path(args.out) / "trajectory.csv", config, header, rows)
+    _write_csv(Path(args.out) / "trajectory.csv", echo, header, rows)
     return EXIT_OK
 
 
-def _cmd_response(args, config: RunConfig) -> int:
+def _cmd_response(args, echo: str) -> int:
     spec = read_spec_file(args.spec)
     data = compute_spectral_data(build_matrices(spec))
     grid = TimeGrid(horizon=args.T, n_steps=args.steps)
     r = response_function(data, float(spec.lengths[0]), grid)
     rows = _TableRows(grid.times, r.values)
-    _write_csv(Path(args.out) / "response.csv", config, ["t", "r"], rows)
+    _write_csv(Path(args.out) / "response.csv", echo, ["t", "r"], rows)
     return EXIT_OK
 
 
@@ -295,7 +277,7 @@ def _read_response_csv(path: str) -> Waveform:
     return Waveform(grid=grid, values=np.asarray(values))
 
 
-def _emit_recovery(out_dir: Path, config: RunConfig, result) -> None:
+def _emit_recovery(out_dir: Path, echo: str, result) -> None:
     diag = result.diagnostics
     n_masses = len(result.recovered_masses)
     sigma = diag.singular_values
@@ -313,21 +295,21 @@ def _emit_recovery(out_dir: Path, config: RunConfig, result) -> None:
     rows = [(k, *row, cond) for k, row in enumerate(columns.tolist(), start=1)]
     _write_csv(
         out_dir / "recovery.csv",
-        config,
+        echo,
         ["k", "m_k", "b_k", "a_k", "l_k", "residual_k", "cond_k"],
         rows,
     )
     with open(out_dir / "recovery.csv", "a", encoding="utf-8") as fh:
         fh.write(f"# l_N={_fmt(result.recovered_lengths[-1])}\n")
     sv_rows = enumerate(sigma.tolist(), start=1)
-    _write_csv(out_dir / "singular_values.csv", config, ["i", "sigma_i"], sv_rows)
+    _write_csv(out_dir / "singular_values.csv", echo, ["i", "sigma_i"], sv_rows)
 
 
-def _cmd_invert(args, config: RunConfig) -> int:
+def _cmd_invert(args, echo: str) -> int:
     r = _read_response_csv(args.response)
     grid = TimeGrid(horizon=r.grid.horizon / 2.0, n_steps=args.steps)
     result = recover_string(r, args.l1, grid, Regularization(threshold=args.threshold))
-    _emit_recovery(Path(args.out), config, result)
+    _emit_recovery(Path(args.out), echo, result)
     diag = result.diagnostics
     print(
         f"rank={diag.rank} endpoint_gap={_fmt(diag.endpoint_gap)} "
@@ -336,7 +318,7 @@ def _cmd_invert(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_roundtrip(args, config: RunConfig) -> int:
+def _cmd_roundtrip(args, echo: str) -> int:
     if not (np.isfinite(args.noise) and args.noise >= 0.0):
         raise ValueError(f"noise must be finite and non-negative, got {args.noise!r}")
     spec = read_spec_file(args.spec)
@@ -350,7 +332,7 @@ def _cmd_roundtrip(args, config: RunConfig) -> int:
         noisy = r.values + args.noise * rng.standard_normal(len(r.values))
         r = Waveform(grid=fine, values=noisy)
     result = recover_string(r, l1, grid, Regularization(threshold=args.threshold))
-    _emit_recovery(Path(args.out), config, result)
+    _emit_recovery(Path(args.out), echo, result)
 
     err_m = err_l = np.inf
     if result.diagnostics.rank == spec.n_masses:
@@ -364,7 +346,7 @@ def _cmd_roundtrip(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_uniform_sweep(args, config: RunConfig) -> int:
+def _cmd_uniform_sweep(args, echo: str) -> int:
     ns = [int(tok) for tok in args.N.split(",") if tok.strip()]
     if not ns or min(ns) < 2:
         raise ValueError(f"--N needs segment counts of at least 2, got {args.N!r}")
@@ -412,7 +394,7 @@ def _cmd_uniform_sweep(args, config: RunConfig) -> int:
         raise ValueError(f"unknown proposition {args.prop}")
     _write_csv(
         Path(args.out) / f"uniform_prop{args.prop}.csv",
-        config,
+        echo,
         ["N", "target", "value", "abs_error"],
         rows,
     )
@@ -498,11 +480,17 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    # the parser is the one declaration of each option: the header echoes
-    # every set option of the command, in the order the parser declares them
-    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    # every file's header echoes the command line that reruns this run: each
+    # option of the command, defaults included, as --name value, shell-quoted,
+    # in the order the parser declares them
+    options = (
+        f"--{key.replace('_', '-')} {shlex.quote(str(value))}"
+        for key, value in vars(args).items()
+        if key not in ("command", "func")
+    )
+    echo = " ".join(["krein-string", args.command, *options])
     try:
-        return args.func(args, RunConfig(args.command, options))
+        return args.func(args, echo)
     except _NUMERICAL_ERRORS as exc:
         print(f"error_code={EXIT_NUMERICAL} detail={exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -61,8 +61,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (self.horizon > 0.0):
-            raise GridError("horizon must be positive")
+        if not (0.0 < self.horizon < np.inf):
+            raise GridError(f"horizon must be finite and positive, got {self.horizon!r}")
         if self.n_steps < 1:
             raise GridError("n_steps must be at least 1")
 
@@ -169,9 +169,11 @@ def causal_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.
 def check_nyquist(data: SpectralData, grid: TimeGrid) -> None:
     nu_max = float(np.max(data.frequencies))
     if nu_max * grid.dt >= NYQUIST_LIMIT:
+        # a float, not int(): nu_max T overflows to inf for T near the float maximum
+        need = np.floor(nu_max * grid.horizon / NYQUIST_LIMIT) + 1
         raise StabilityError(
             f"grid too coarse: sqrt(|lambda_max|)*dt = {nu_max * grid.dt:.3f} "
-            f">= {NYQUIST_LIMIT} (need n_steps > {int(nu_max * grid.horizon / NYQUIST_LIMIT) + 1})"
+            f">= {NYQUIST_LIMIT} (need n_steps > {need:.0f})"
         )
 
 

@@ -406,13 +406,17 @@ def recover_string(
     controls: list[Waveform] = []
     residuals: list[float] = []
 
-    f_values, residual = fact.solve(rhs)
-    _check_residual(residual, step=1)
-    image = fact.last_image
-    image_prev = np.zeros_like(image)  # C f_0 = 0: no predecessor term at step 1
+    image = np.zeros(n + 1)  # C f_0 = 0: no predecessor term at step 1
     a_param = 1.0 / l1
 
     for k in range(1, n_detected + 1):
+        f_values, residual = fact.solve(rhs)
+        if residual > MAX_RESIDUAL:
+            raise RecoveryError(
+                f"step {k}: Krein solve residual {residual:.3e} exceeds {MAX_RESIDUAL:.1e}",
+                step=k,
+            )
+        image_prev, image = image, fact.last_image
         controls.append(Waveform(grid=grid, values=f_values))
         residuals.append(residual)
         gram = connector.weighted_inner(image, f_values)
@@ -432,12 +436,7 @@ def recover_string(
         masses.append(m_k)
         b_entries.append(b_k)
         a_entries.append(a_k)
-        if k < n_detected:
-            next_rhs = (m_k * curvature - a_param * image_prev - b_k * image) / a_k
-            f_values, residual = fact.solve(next_rhs)
-            _check_residual(residual, step=k + 1)
-            image_prev = image
-            image = fact.last_image
+        rhs = (m_k * curvature - a_param * image_prev - b_k * image) / a_k
         a_param = a_k
 
     lengths = np.concatenate(([l1], 1.0 / np.array(a_entries)))
@@ -460,12 +459,3 @@ def recover_string(
         controls=tuple(controls),
         diagnostics=diagnostics,
     )
-
-
-def _check_residual(residual: float, step: int) -> None:
-    if residual > MAX_RESIDUAL:
-        raise RecoveryError(
-            f"step {step}: Krein solve residual {residual:.3e} exceeds "
-            f"{MAX_RESIDUAL:.1e}",
-            step=step,
-        )

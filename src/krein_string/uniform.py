@@ -265,8 +265,8 @@ def pair_corrected_response(n: int, xi: TestFunction, tol: float = 1e-7) -> Pair
 def pair_solution_with_sine(n: int, t: float, k: int) -> float:
     """Exact integral of the affine-interpolated impulse solution at time t
     against sin(kx) on (0, 1)."""
-    if not 0.0 < t:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be finite and positive")
     if k <= 0:
         raise ValueError("k must be a positive integer")
     ladder = bessel_j_ladder(2 * n, 2.0 * n * t)

@@ -24,7 +24,6 @@ from krein_string import (
 from krein_string import cli
 from krein_string.cli import (
     _MIN_PART_FIELDS,
-    RunConfig,
     _fmt,
     _TableRows,
     _write_csv,
@@ -241,6 +240,7 @@ def test_too_few_steps_is_a_config_error(tmp_path, spec_file, small_response, ca
         ("invert", "--threshold", "1", "threshold must lie in (0, 1)"),
         ("invert", "--threshold", "2", "threshold must lie in (0, 1)"),
         ("roundtrip", "--threshold", "nan", "threshold must lie in (0, 1)"),
+        ("roundtrip", "--T", "inf", "horizon must be finite and positive"),
         ("roundtrip", "--noise", "-1e-6", "noise must be finite and non-negative"),
         ("roundtrip", "--noise", "nan", "noise must be finite and non-negative"),
         ("roundtrip", "--noise", "inf", "noise must be finite and non-negative"),
@@ -338,6 +338,9 @@ def test_uniform_prop1_sums_only_the_compared_components(tmp_path):
         ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:0"],
         ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:-0.02"],
         ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:nan"],
+        ["forward", "--spec", "{spec}", "--T", "inf", "--steps", "800"],
+        ["response", "--spec", "{spec}", "--T", "inf", "--steps", "800"],
+        ["uniform-sweep", "--prop", "4", "--N", "8", "--t", "inf"],
     ],
     ids=" ".join,
 )
@@ -345,6 +348,17 @@ def test_bad_sweep_and_control_inputs_are_config_errors(argv, tmp_path, spec_fil
     out = tmp_path / "out"
     assert run(*(arg.format(spec=spec_file) for arg in argv), "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("error_code=2 ")
+    assert not out.exists()
+
+
+def test_an_overflowing_horizon_is_a_coarse_grid(tmp_path, spec_file, capsys):
+    # nu_max T overflows to inf at T = 1e308; the Nyquist guard still refuses
+    # the grid as too coarse, as at T = 1e300
+    out = tmp_path / "out"
+    assert run("forward", "--spec", spec_file, "--T", "1e308", "--steps", "100", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error_code=3 detail=grid too coarse")
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -450,7 +464,7 @@ def csv_floats(path):
 def test_write_csv_writes_what_fmt_writes(tmp_path):
     row = [7, -0.0, float("inf"), float("nan"), 5e-324, 1e16, 1e-5, 0.1 + 0.2]
     path = tmp_path / "unit.csv"
-    _write_csv(path, RunConfig("unit"), [f"c{j}" for j in range(len(row))], [row])
+    _write_csv(path, "krein-string unit", [f"c{j}" for j in range(len(row))], [row])
     written = path.read_text(encoding="utf-8").splitlines()[2].split(",")
     assert written == [_fmt(v) for v in row]
     assert written[1:4] == ["-0.0", "inf", "nan"]
@@ -478,11 +492,11 @@ def test_write_csv_writes_the_one_shot_bytes(tmp_path, monkeypatch, n_rows, kind
         "list": (listed, listed),
         "table": (_TableRows(times, values), np.column_stack([times, values]).tolist()),
     }[kind]
-    config = RunConfig("unit", {"out": "x"})
+    echo = "krein-string unit --out x"
     header = ["k", "special", "a", "b"]
     path = tmp_path / "unit.csv"
-    _write_csv(path, config, header, rows)
-    lines = [f"# {config.echo()}", ",".join(header)]
+    _write_csv(path, echo, header, rows)
+    lines = [f"# {echo}", ",".join(header)]
     lines += [",".join(map(repr, row)) for row in expected]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
     assert len(forks) == (cpus - 1 if n_rows and kind == "table" else 0)
@@ -511,7 +525,7 @@ def test_write_csv_reaps_every_child_when_a_part_fails(tmp_path, monkeypatch, sp
     rows = _TableRows(np.arange(_MIN_PART_FIELDS, dtype=float), np.ones((_MIN_PART_FIELDS, 3)))
     monkeypatch.setattr(_TableRows, "write", failing(in_child=True))
     with pytest.raises(OSError, match="child process failed"):
-        _write_csv(tmp_path / "unit.csv", RunConfig("unit"), ["a", "b", "c", "d"], rows)
+        _write_csv(tmp_path / "unit.csv", "krein-string unit", ["a", "b", "c", "d"], rows)
     assert_no_child()
     # the 3-mass string at _MIN_PART_FIELDS steps is three columns of
     # _MIN_PART_FIELDS + 1 rows, three parts
@@ -522,7 +536,7 @@ def test_write_csv_reaps_every_child_when_a_part_fails(tmp_path, monkeypatch, sp
     assert_no_child()
     monkeypatch.setattr(_TableRows, "write", failing(in_child=False))
     with pytest.raises(RuntimeError, match="part failed"):
-        _write_csv(tmp_path / "unit.csv", RunConfig("unit"), ["a", "b", "c", "d"], rows)
+        _write_csv(tmp_path / "unit.csv", "krein-string unit", ["a", "b", "c", "d"], rows)
     assert_no_child()
 
 
@@ -541,7 +555,7 @@ def test_write_csv_pins_the_parts_and_gives_the_mask_back(tmp_path, monkeypatch)
         fh.write(f"{sorted(os.sched_getaffinity(0))}\n")
 
     monkeypatch.setattr(_TableRows, "write", write_mask)
-    _write_csv(path, RunConfig("unit"), ["t", "r"], rows)
+    _write_csv(path, "krein-string unit", ["t", "r"], rows)
     masks = path.read_text(encoding="utf-8").splitlines()[2:]
     assert masks == [str([cpus[i % len(cpus)]]) for i in range(3)]
     assert os.sched_getaffinity(0) == mask
@@ -553,7 +567,7 @@ def test_write_csv_pins_the_parts_and_gives_the_mask_back(tmp_path, monkeypatch)
 
         monkeypatch.setattr(_TableRows, "write", fail)
         with pytest.raises(OSError if in_child else RuntimeError):
-            _write_csv(path, RunConfig("unit"), ["t", "r"], rows)
+            _write_csv(path, "krein-string unit", ["t", "r"], rows)
         assert os.sched_getaffinity(0) == mask
 
 
