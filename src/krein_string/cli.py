@@ -386,10 +386,10 @@ def _cmd_uniform_sweep(args, echo: str) -> int:
                 res = uniform.pair_corrected_response(n, xi)
                 rows.append((n, target, res.value, abs(res.value - target)))
     elif args.prop == 4:
+        # the pairings check t first: sin(k t) at t = inf would warn
+        values = [uniform.pair_solution_with_sine(n, args.t, args.k) for n in ns]
         target = float(np.sin(args.k * args.t))
-        for n in ns:
-            value = uniform.pair_solution_with_sine(n, args.t, args.k)
-            rows.append((n, target, value, abs(value - target)))
+        rows.extend((n, target, value, abs(value - target)) for n, value in zip(ns, values))
     else:
         raise ValueError(f"unknown proposition {args.prop}")
     _write_csv(

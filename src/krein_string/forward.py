@@ -169,11 +169,18 @@ def causal_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.
 def check_nyquist(data: SpectralData, grid: TimeGrid) -> None:
     nu_max = float(np.max(data.frequencies))
     if nu_max * grid.dt >= NYQUIST_LIMIT:
-        # a float, not int(): nu_max T overflows to inf for T near the float maximum
+        # the smallest step count that passes; a float, not int(): nu_max T
+        # overflows to inf for T near the float maximum
         need = np.floor(nu_max * grid.horizon / NYQUIST_LIMIT) + 1
+        if need < 2**53:
+            # rounding can move the boundary by a step: settle it by the test
+            while nu_max * (grid.horizon / need) >= NYQUIST_LIMIT:
+                need += 1
+            while need > 1 and nu_max * (grid.horizon / (need - 1)) < NYQUIST_LIMIT:
+                need -= 1
         raise StabilityError(
-            f"grid too coarse: sqrt(|lambda_max|)*dt = {nu_max * grid.dt:.3f} "
-            f">= {NYQUIST_LIMIT} (need n_steps > {need:.0f})"
+            f"grid too coarse: sqrt(|lambda_max|)*dt = {nu_max * grid.dt:.3g} "
+            f">= {NYQUIST_LIMIT} (need n_steps >= {need:.16g})"
         )
 
 

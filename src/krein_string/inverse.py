@@ -21,18 +21,20 @@ On the grid t_i = i dt the kernel is a Hankel-minus-Toeplitz matrix in the
 kernel matrix-free: one real FFT of the input, one of the output, O(n log n)
 per column.  All solves share one truncated eigendecomposition of the
 quadrature-weighted kernel.  Because the kernel has rank N-1, that
-decomposition is computed from a seeded randomized block range finder
-(Halko, Martinsson & Tropp, SIAM Review 53, 2011) that only applies the
-kernel to thin blocks.  The range finder is blocked and incremental
-(Martinsson & Voronin, SIAM J. Sci. Comput. 38, 2016): it starts from 8
-columns, and when its basis is too narrow to hold the rank cut, it grows to
-twice the rank it has seen so far: new Gaussian columns are sketched against
-it, orthogonalized to it twice, and appended, and the kernel is never
-applied to the old columns again.  This is the only factorization: no
-(n+1)^2 array is formed.  On grids under 16 steps the basis may grow to span
-the grid, and then its pairs are exact; on longer grids a numerical rank
-that a basis of an eighth of the grid cannot hold (a noise floor above the
-threshold, or too few steps per mass) raises ``RankError``.
+decomposition is computed from a seeded randomized block Krylov range finder
+(block Lanczos with full reorthogonalization; Musco & Musco, "Randomized
+Block Krylov Methods for Stronger and Faster Approximate SVD", NeurIPS 2015)
+that only applies the kernel to thin blocks, once per basis column: each
+block is the image of the one before it, orthogonalized against the basis.
+Rayleigh-Ritz on span[W, A W, A^2 W, ...] runs from the sixth block on, and
+the basis stops growing once half of its Ritz values lie below the rank
+cut's band.  The kernel's images of the basis columns are kept, so each
+Krein solve reads C f from them without applying the kernel again.  This is
+the only factorization: no (n+1)^2 array is formed.  On grids under 16 steps
+the basis may grow to span the grid, and then its pairs are exact; on longer
+grids a numerical rank that a basis of an eighth of the grid cannot hold (a
+noise floor above the threshold, or too few steps per mass) raises
+``RankError``.
 """
 
 from __future__ import annotations
@@ -49,13 +51,12 @@ A_DIVISION_GUARD = 1e-10
 # Largest relative residual a Krein solve may leave before recovery fails.
 MAX_RESIDUAL = 5e-2
 
-# Randomized range finder: starting block width, power passes per block and
-# the fixed sketch seed (reruns stay byte-identical).  A growth is refused when
-# its width, rounded up to the doubling schedule CAP_BLOCK, 2 CAP_BLOCK, ...,
-# passes MAX_BASIS_FRACTION of the grid nodes (or CAP_BLOCK, if that is more):
-# a rank that needs more is a noise floor above the threshold, not a string.
-SKETCH_BLOCK = 8
-SKETCH_POWER_PASSES = 2
+# Block Krylov range finder: block width and the fixed sketch seed (reruns
+# stay byte-identical).  A basis is refused when the width it would need,
+# rounded up to the doubling schedule CAP_BLOCK, 2 CAP_BLOCK, ..., passes
+# MAX_BASIS_FRACTION of the grid nodes (or CAP_BLOCK, if that is more): a
+# rank that needs more is a noise floor above the threshold, not a string.
+SKETCH_BLOCK = 2
 SKETCH_SEED = 20110
 CAP_BLOCK = 16
 MAX_BASIS_FRACTION = 1.0 / 8.0
@@ -82,8 +83,8 @@ class DiscretizedConnector:
     y = w x, (K y)_i = scale (conv(P, y)[2n-i] - conv(sym, y)[n+i]) for the
     even sequence sym[k] = P[|k|], k = -n..n.  Both convolutions are exact
     in a circular transform of length L >= 2n+1 (every index they read lies
-    within [0, 2n] or [-n, n]), so ``apply`` takes one real FFT of y and one
-    inverse: the Hankel half's index reversal is the spectrum
+    within [0, 2n] or [-n, n]), so ``_kernel_product`` takes one real FFT of
+    y and one inverse: the Hankel half's index reversal is the spectrum
     exp(-2 pi i (2n k mod L) / L) conj(P^) conj(y^), and the Toeplitz half's
     spectrum is real because sym is even.  Both spectra are computed once,
     here, with the scale folded in.
@@ -121,12 +122,6 @@ class DiscretizedConnector:
             ("_toeplitz_spectrum", self.scale * np.fft.rfft(sym).real),
         ):
             object.__setattr__(self, name, value)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Operator action (C f)(t_i) = sum_j kernel[i, j] w_j f_j on a vector
-        or on each column of an (n+1, k) block."""
-        weights = self.quad_weights if values.ndim == 1 else self.quad_weights[:, None]
-        return self._kernel_product(weights * values)
 
     def _kernel_product(self, block: np.ndarray) -> np.ndarray:
         """kernel @ block for a vector or an (n+1, k) block, by one forward and
@@ -206,35 +201,35 @@ class ConnectorFactorization:
     ``reg.threshold * sigma_max`` with the cut refined to the largest
     relative gap when values straddle the threshold.
 
-    D K D is applied implicitly to a seeded Gaussian block of
-    ``SKETCH_BLOCK`` columns: it gets ``SKETCH_POWER_PASSES`` power passes,
-    re-orthonormalized after each, and a Rayleigh-Ritz step.  The basis
-    grows until at least half of its Ritz values fall below the bottom of
-    the tie-break band, ``threshold / 10 * sigma_max``, so the cut and its
-    gap lie inside it.  Each growth widens the basis to twice the number of
-    Ritz values at or above that floor, at most the n+1 grid nodes: the new
-    Gaussian columns, drawn from the same seeded stream, get the same apply
-    and power passes, and after every apply they are re-orthogonalized
-    against the basis by projecting, QR, projecting and QR again.  The basis
-    and its image D K D Q are kept, so Rayleigh-Ritz on the grown basis
-    applies the kernel to the new columns only.  ``singular_values`` then
-    holds the basis' Ritz values, largest first.  A basis that spans the
-    grid is returned at once, whatever the rank: its Ritz pairs are exact.
-    A growth whose width, rounded up to ``CAP_BLOCK``, 2 ``CAP_BLOCK``, ...,
-    passes the rank cap means a rank near n, and raises ``RankError``
-    naming the basis width, how many of its Ritz values fell below the
-    floor, and the grid size; on grids under 16 steps none is refused.
+    D K D is applied implicitly by block Krylov iteration: a seeded
+    Gaussian block of ``SKETCH_BLOCK`` columns is orthonormalized, D K D is
+    applied to it once, and that image, orthogonalized against the basis by
+    projecting, QR, projecting and QR again, is the next block.  The basis
+    and its image D K D Q are kept.  From the sixth block on (and whenever
+    the basis spans the n+1 grid nodes), Rayleigh-Ritz on the whole basis
+    gives its Ritz values, and the basis stops growing once at least half of
+    them fall below the bottom of the tie-break band,
+    ``threshold / 10 * sigma_max``, so the cut and its gap lie inside it.
+    ``singular_values`` then holds the basis' Ritz values, largest first,
+    and the Ritz vectors' images are kept next to them for ``solve``.  A
+    basis that spans the grid is returned at once, whatever the rank: its
+    Ritz pairs are exact.  When twice the number of Ritz values at or above
+    the floor, rounded up to ``CAP_BLOCK``, 2 ``CAP_BLOCK``, ..., passes the
+    rank cap, the rank is near n, and ``RankError`` names the basis width,
+    how many of its Ritz values fell below the floor, and the grid size; on
+    grids under 16 steps none is refused.
     """
 
     def __init__(self, connector: DiscretizedConnector, reg: Regularization | None = None):
         self.connector = connector
         self.reg = reg or Regularization()
         self._sqrt_w = np.sqrt(connector.quad_weights)
-        vals, vecs = self._ritz_pairs()
+        vals, vecs, images = self._ritz_pairs()
         order = np.argsort(np.abs(vals))[::-1]
         self.singular_values = np.abs(vals)[order]
         self._vals = vals[order]
         self._vecs = vecs[:, order]
+        self._images = images[:, order]
         self.rank = _rank_by_threshold(self.singular_values, self.reg.threshold)
         self.last_image: np.ndarray | None = None
 
@@ -243,44 +238,49 @@ class ConnectorFactorization:
         sqrt_w = self._sqrt_w[:, None]
         return sqrt_w * self.connector._kernel_product(sqrt_w * block)
 
-    def _ritz_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def _ritz_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ritz values, Ritz vectors and the vectors' images under D K D.
+
+        The basis, its image and the projection basis.T @ image grow in
+        place, in storage that doubles when it is full; each pass projects
+        only its new block, and the stop test needs only the Ritz values."""
         size = len(self._sqrt_w)
-        rng = np.random.default_rng(SKETCH_SEED)
         floor = self.reg.threshold / 10.0
         cap = max(int(MAX_BASIS_FRACTION * size), CAP_BLOCK)
-        basis = image = None
-        grow = SKETCH_BLOCK
+        block = np.random.default_rng(SKETCH_SEED).standard_normal((size, SKETCH_BLOCK))
+        basis = image = np.empty((size, 0))
+        projected = np.empty((0, 0))
+        width = 0
         while True:
-            block = rng.standard_normal((size, grow))
-            for _ in range(1 + SKETCH_POWER_PASSES):
-                block = self._orthonormalize(self._apply_weighted(block), basis)
-            block_image = self._apply_weighted(block)
-            if basis is None:
-                basis, image = block, block_image
-            else:
-                basis = np.hstack((basis, block))
-                image = np.hstack((image, block_image))
-            ritz, coords = np.linalg.eigh(basis.T @ image)
-            magnitude = np.abs(ritz)
-            top = magnitude.max()
-            width = len(ritz)
-            below = np.count_nonzero(magnitude < floor * top)
-            if top == 0.0 or below >= width // 2 or width == size:
-                return ritz, basis @ coords
-            target = min(2 * (width - below), size)
-            scheduled = CAP_BLOCK
-            while scheduled < target:
-                scheduled *= 2
-            if scheduled > cap:
-                raise RankError(
-                    f"connector rank is near the grid size: {below} of the {width} Ritz "
-                    f"values of the sketch basis fall below threshold/10 * sigma_max "
-                    f"= {floor * top:.3e}, fewer than half, and {scheduled} columns "
-                    f"would pass the rank cap of {cap} on the {size - 1}-step grid; "
-                    f"raise --threshold above the noise floor, or --steps if the grid "
-                    f"has too few steps per mass"
-                )
-            grow = target - width
+            start, width = width, width + block.shape[1]
+            if width > basis.shape[1]:
+                room = min(2 * width, size)
+                basis, image = _with_room(basis, size, room), _with_room(image, size, room)
+                projected = _with_room(projected[:start, :start], room, room)
+            basis[:, start:width] = self._orthonormalize(block, basis[:, :start] if start else None)
+            image[:, start:width] = self._apply_weighted(basis[:, start:width])
+            projected[start:width, :width] = basis[:, start:width].T @ image[:, :width]
+            projected[:start, start:width] = projected[start:width, :start].T
+            if width >= 6 * SKETCH_BLOCK or width == size:
+                magnitude = np.abs(np.linalg.eigvalsh(projected[:width, :width]))
+                top = magnitude.max()
+                below = np.count_nonzero(magnitude < floor * top)
+                if top == 0.0 or below >= width // 2 or width == size:
+                    ritz, coords = np.linalg.eigh(projected[:width, :width])
+                    return ritz, basis[:, :width] @ coords, image[:, :width] @ coords
+                scheduled = CAP_BLOCK
+                while scheduled < min(2 * (width - below), size):
+                    scheduled *= 2
+                if scheduled > cap:
+                    raise RankError(
+                        f"connector rank is near the grid size: {below} of the {width} Ritz "
+                        f"values of the sketch basis fall below threshold/10 * sigma_max "
+                        f"= {floor * top:.3e}, fewer than half, and {scheduled} columns "
+                        f"would pass the rank cap of {cap} on the {size - 1}-step grid; "
+                        f"raise --threshold above the noise floor, or --steps if the grid "
+                        f"has too few steps per mass"
+                    )
+            block = image[:, start:width][:, : size - width]
 
     @staticmethod
     def _orthonormalize(block: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
@@ -301,20 +301,29 @@ class ConnectorFactorization:
 
     def solve(self, rhs_values: np.ndarray) -> tuple[np.ndarray, float]:
         """Minimum-norm truncated solution of (C f) = rhs; returns
-        (solution values, relative weighted residual).  The residual needs
-        C f, which is kept as ``last_image`` for the caller."""
+        (solution values, relative weighted residual).  The residual is
+        measured against the full (untruncated) operator: f lies in the
+        basis span, so C f is read from the kept images, and is kept as
+        ``last_image`` for the caller."""
         if self.rank == 0:
             raise RankError("connector has numerical rank 0")
         weighted_rhs = self._sqrt_w * rhs_values
         basis = self._vecs[:, : self.rank]
         coeffs = (basis.T @ weighted_rhs) / self._vals[: self.rank]
         solution = (basis @ coeffs) / self._sqrt_w
-        # residual measured against the full (untruncated) operator
-        self.last_image = self.connector.apply(solution)
-        applied = self._sqrt_w * self.last_image
+        applied = self._images[:, : self.rank] @ coeffs
+        self.last_image = applied / self._sqrt_w
         rhs_norm = float(np.linalg.norm(weighted_rhs))
         residual = float(np.linalg.norm(applied - weighted_rhs)) / max(rhs_norm, 1e-300)
         return solution, residual
+
+
+def _with_room(array: np.ndarray, rows: int, columns: int) -> np.ndarray:
+    """``array`` copied into the leading corner of new column-major storage
+    of shape (rows, columns)."""
+    grown = np.empty((rows, columns), order="F")
+    grown[: array.shape[0], : array.shape[1]] = array
+    return grown
 
 
 def _rank_by_threshold(singular_values: np.ndarray, threshold: float) -> int:

@@ -4,7 +4,9 @@ Nothing in the package calls these.  They evaluate the paper's identities
 directly: the Cauchy recursion for the polynomials phi_n, the spectral
 function mu, the response operator R, the piecewise-affine interpolant in x
 and the residual of the equivalent integral equation, plus the Chebyshev
-recurrence and the uniform string that the closed forms are checked on.
+recurrence, the uniform string that the closed forms are checked on, and
+the connector's action C f on a vector, which recovery reads from its
+factorization instead.
 The forward solvers' hot paths are held to their plain forms: the trapezoid
 convolution as one transform of the whole kernel, and the RK4 oracle as one
 ``prop @ y + forcing`` per step.
@@ -98,6 +100,13 @@ def apply_response_operator(r: Waveform, f: Waveform) -> Waveform:
         raise GridError("response and control must share one grid")
     out = causal_convolution(r.values, f.values, r.grid.dt)
     return Waveform(grid=r.grid, values=out)
+
+
+def connector_apply(connector, values: np.ndarray) -> np.ndarray:
+    """Operator action (C f)(t_i) = sum_j kernel[i, j] w_j f_j on a vector
+    or on each column of an (n+1, k) block, by the connector's FFT product."""
+    weights = connector.quad_weights if values.ndim == 1 else connector.quad_weights[:, None]
+    return connector._kernel_product(weights * values)
 
 
 def one_shot_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.ndarray:

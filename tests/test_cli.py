@@ -344,22 +344,40 @@ def test_uniform_prop1_sums_only_the_compared_components(tmp_path):
     ],
     ids=" ".join,
 )
-def test_bad_sweep_and_control_inputs_are_config_errors(argv, tmp_path, spec_file, capsys):
+def test_bad_sweep_and_control_inputs_are_config_errors(
+    argv, tmp_path, spec_file, capsys, recwarn
+):
+    # each is refused before any value is computed from it: sin(k t) at
+    # t = inf, for one, would warn
     out = tmp_path / "out"
     assert run(*(arg.format(spec=spec_file) for arg in argv), "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("error_code=2 ")
     assert not out.exists()
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_an_overflowing_horizon_is_a_coarse_grid(tmp_path, spec_file, capsys):
     # nu_max T overflows to inf at T = 1e308; the Nyquist guard still refuses
-    # the grid as too coarse, as at T = 1e300
+    # the grid as too coarse, as at T = 1e300, and gives sqrt(|lambda_max|) dt
+    # to three digits, not as its 300 integer digits
     out = tmp_path / "out"
     assert run("forward", "--spec", spec_file, "--T", "1e308", "--steps", "100", "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error_code=3 detail=grid too coarse")
+    assert "dt = 3.03e+306 >= 0.5" in err and len(err) < 200
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon, need", [("2.5", 16), ("1.0", 7), ("40", 243)])
+def test_coarse_grid_names_the_smallest_step_count_that_passes(
+    horizon, need, tmp_path, spec_file, capsys
+):
+    out = tmp_path / "out"
+    argv = ["forward", "--spec", spec_file, "--T", horizon, "--out", str(out)]
+    assert run(*argv, "--steps", str(need - 1)) == 3
+    assert f"(need n_steps >= {need})" in capsys.readouterr().err
+    assert run(*argv, "--steps", str(need)) == 0
 
 
 @pytest.mark.parametrize("prop", ["2", "3"])

@@ -28,7 +28,7 @@ from krein_string.inverse import (
 )
 
 from conftest import random_spec
-from reference import uniform_spec
+from reference import connector_apply, uniform_spec
 
 
 def exact_response(spec, grid, oversample=8):
@@ -124,13 +124,13 @@ def test_fft_apply_matches_dense_kernel(rng, steps):
         kernel, w = dense_kernel(connector), connector.quad_weights
         for x in (rng.standard_normal(steps + 1), rng.standard_normal((steps + 1, 16))):
             expected = kernel @ (w * x if x.ndim == 1 else w[:, None] * x)
-            got = connector.apply(x)
+            got = connector_apply(connector, x)
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def scipy_fft_apply(connector, x):
-    """``apply`` as the scipy.fft transforms computed it, spectra included:
+    """``connector_apply`` as the scipy.fft transforms computed it, spectra included:
     the product recovery.csv and singular_values.csv were written from."""
     from scipy.fft import irfft, next_fast_len, rfft
 
@@ -153,20 +153,21 @@ def scipy_fft_apply(connector, x):
 @pytest.mark.parametrize("steps", [1000, 2000])
 def test_fft_apply_is_the_scipy_fft_product(rng, steps):
     # numpy.fft runs the same pocketfft as scipy.fft, at the same lengths, so
-    # the products agree to the bit, on a vector and on the block widths the
-    # factorization applies
+    # the products agree to the bit, on a vector, on the 2-column blocks the
+    # factorization applies and on wider blocks
     connector = random_connector(rng, 8, steps)[0]
-    for shape in ((steps + 1,), (steps + 1, 8), (steps + 1, 14), (steps + 1, 22)):
+    for shape in ((steps + 1,), (steps + 1, 2), (steps + 1, 8), (steps + 1, 14), (steps + 1, 22)):
         x = rng.standard_normal(shape)
-        assert np.array_equal(connector.apply(x), scipy_fft_apply(connector, x)), shape
+        got = connector_apply(connector, x)
+        assert np.array_equal(got, scipy_fft_apply(connector, x)), shape
 
 
 def test_fft_apply_is_self_adjoint(rng):
     for connector in (generic_connector(rng, 2000), random_connector(rng, 5, 2000)[0]):
         t = connector.grid.times
         f, g = np.sin(2.0 * t) * np.exp(-t), t**2 * np.cos(t)
-        lhs = connector.weighted_inner(connector.apply(f), g)
-        rhs = connector.weighted_inner(f, connector.apply(g))
+        lhs = connector.weighted_inner(connector_apply(connector, f), g)
+        rhs = connector.weighted_inner(f, connector_apply(connector, g))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
@@ -207,7 +208,7 @@ def test_gram_identity(rng):
     t = grid.times
     f = Waveform(grid, np.sin(2.0 * t) * np.exp(-t))
     g = Waveform(grid, t**2 * np.cos(t))
-    lhs = connector.weighted_inner(connector.apply(f.values), g.values)
+    lhs = connector.weighted_inner(connector_apply(connector, f.values), g.values)
     u_f = solve_forward_spectral(mats, data, f, l1).states[-1]
     u_g = solve_forward_spectral(mats, data, g, l1).states[-1]
     rhs = float(np.sum(spec.masses * u_f * u_g))
@@ -243,8 +244,8 @@ def test_factorization_matches_dense_oracle(rng):
 def test_complete_basis_matches_dense_oracle_under_noise(rng, steps):
     # under 16 steps no growth passes the cap; a noise floor leaves fewer than
     # half of the Ritz values below the floor, so the basis grows to span the
-    # grid (under 8 steps the first block does) and must stop there with the
-    # exact pairs instead of growing past it
+    # grid (under 12 steps before its first Rayleigh-Ritz step) and must stop
+    # there with the exact pairs instead of growing past it
     connector, rhs = random_connector(rng, 4, steps, noise=1e-3)
     fact = ConnectorFactorization(connector)
     assert len(fact.singular_values) == steps + 1
@@ -253,13 +254,14 @@ def test_complete_basis_matches_dense_oracle_under_noise(rng, steps):
 
 def test_factorization_full_basis_limit(rng):
     # a noise floor far above the cut leaves rank ~ n: no Ritz value of the
-    # 16-column block falls below the floor, and 32 columns would pass the
-    # cap of 201 // 8 = 25, so the factorization refuses with its evidence
+    # 12-column basis falls below the floor, and 24 columns, rounded up to
+    # 32, would pass the cap of 201 // 8 = 25, so the factorization refuses
+    # with its evidence
     connector, _ = random_connector(rng, 4, 200, noise=1e-3)
     with pytest.raises(RankError) as excinfo:
         ConnectorFactorization(connector)
     message = str(excinfo.value)
-    assert "0 of the 16 Ritz values" in message
+    assert "0 of the 12 Ritz values" in message
     assert "rank cap of 25 on the 200-step grid" in message
     assert "--threshold" in message and "--steps" in message
 
@@ -272,9 +274,10 @@ def test_factorization_full_basis_limit(rng):
     ],
 )
 def test_refusal_follows_the_doubling_schedule(segments, steps, horizon, draw, cap):
-    # two survey strings whose next basis (22 and 38 columns) fits under the
-    # cap, but not once rounded up to 16, 32, 64, ...; let through at their
-    # own width, they came back with relative errors of 29.8 and 448
+    # two survey strings whose needed basis (20 and 34 columns: twice the
+    # Ritz values above the floor) fits under the cap, but not once rounded up
+    # to 16, 32, 64, ...; let through at their own width by the older
+    # sketch, they came back with relative errors of 29.8 and 448
     rng = np.random.default_rng([7, segments, steps, int(10 * horizon), draw, ord("A")])
     spec = StringSpec(rng.uniform(0.5, 1.0, segments), rng.uniform(0.5, 1.0, segments - 1))
     grid = TimeGrid(horizon * spec.total_length, steps)
@@ -293,9 +296,9 @@ def assert_matches_dense_oracle(fact, connector, rhs, threshold, solve_tol):
 
 
 def test_grown_block_matches_dense_oracle_random(rng):
-    # ranks 9-11 (fewer with the noisy cut) leave fewer than half of the 8-wide
-    # first block below the floor, so the basis grows to twice the values above
-    # it, once or twice, and the new columns must stay orthogonal to the old
+    # ranks 9-11 (fewer with the noisy cut) leave fewer than half of the first
+    # 12-column basis below the floor, so the Krylov basis grows, 2 columns a
+    # pass, and each new block must stay orthogonal to the old columns
     widths = []
     for n_segments in (10, 11, 12):
         for noise, threshold in ((0.0, 1e-8), (1e-6, 1e-4)):
@@ -308,9 +311,9 @@ def test_grown_block_matches_dense_oracle_random(rng):
 
 @pytest.mark.parametrize("n_masses, steps, width", [(16, 800, 28), (32, 800, 50), (64, 1100, 92)])
 def test_grown_block_matches_dense_oracle_uniform(n_masses, steps, width):
-    # the uniform chain at T=1 has rank 14, 25 and 46: the basis grows from 8
-    # columns to twice the values above the floor, and at N=64 it must not give
-    # way to the full eigendecomposition
+    # the uniform chain at T=1 has rank 14, 25 and 46: the Krylov basis grows
+    # from 12 columns until half its Ritz values lie below the floor, and at
+    # N=64 it must not give way to the full eigendecomposition
     grid = TimeGrid(1.0, steps)
     r = exact_response(uniform_spec(n_masses), grid)
     rhs = r.values[(steps - np.arange(steps + 1)) * 8]
@@ -318,6 +321,42 @@ def test_grown_block_matches_dense_oracle_uniform(n_masses, steps, width):
     fact = ConnectorFactorization(connector)
     assert len(fact.singular_values) == width < steps + 1
     assert_matches_dense_oracle(fact, connector, rhs, 1e-8, 1e-7)
+
+
+@pytest.mark.parametrize("n_segments, steps", [(2, 6), (3, 40), (5, 800), (12, 800)])
+def test_factorization_applies_the_kernel_once_per_column(rng, n_segments, steps, monkeypatch):
+    # block Krylov: each basis column passes through the kernel exactly once,
+    # and solves read C f from the kept images without applying it again
+    connector, rhs = random_connector(rng, n_segments, steps)
+    product = type(connector)._kernel_product
+    columns = []
+
+    def counted(self, block):
+        columns.append(1 if block.ndim == 1 else block.shape[1])
+        return product(self, block)
+
+    monkeypatch.setattr(type(connector), "_kernel_product", counted)
+    fact = ConnectorFactorization(connector)
+    assert sum(columns) == len(fact.singular_values) == fact._vecs.shape[1]
+    fact.solve(rhs)
+    assert sum(columns) == len(fact.singular_values)
+
+
+@pytest.mark.parametrize(
+    "n_segments, steps, noise, threshold",
+    [(2, 6, 0.0, 1e-8), (5, 800, 0.0, 1e-8), (8, 800, 1e-6, 1e-4)],
+)
+def test_solve_image_is_the_connector_product(rng, n_segments, steps, noise, threshold):
+    # the image solve returns is read from the factorization's kept images;
+    # it must be the untruncated operator's product, also for a second right
+    # side that is not the first one's image
+    connector, rhs = random_connector(rng, n_segments, steps, noise)
+    fact = ConnectorFactorization(connector, Regularization(threshold=threshold))
+    for _ in range(2):
+        values, _ = fact.solve(rhs)
+        expected = connector_apply(connector, values)
+        assert np.linalg.norm(fact.last_image - expected) <= 1e-12 * np.linalg.norm(expected)
+        rhs = fact.last_image + np.sin(connector.grid.times)
 
 
 def test_factorization_is_reproducible(rng):
@@ -354,7 +393,7 @@ def test_factorization_solve_single_mass():
     connector = build_connector(r, 0.5, grid)
     rhs = r.values[(grid.n_steps - np.arange(grid.n_steps + 1)) * 8]
     f1, _ = ConnectorFactorization(connector).solve(rhs)
-    gram = connector.weighted_inner(connector.apply(f1), f1)
+    gram = connector.weighted_inner(connector_apply(connector, f1), f1)
     assert gram > 0.0
     assert 1.0 / gram == pytest.approx(1.0, abs=1e-4)
 
@@ -410,10 +449,11 @@ def test_recover_single_mass():
     assert abs(result.diagnostics.endpoint_gap) <= 2e-2
 
 
-@pytest.mark.parametrize("steps, width", [(6, 7), (40, 8)])
+@pytest.mark.parametrize("steps, width", [(6, 7), (40, 12)])
 def test_recover_single_mass_on_short_grids(steps, width):
-    # under 8 steps the one sketch block spans the whole grid, so its Ritz
-    # pairs are exact; at 40 steps rank 1 stops the basis at one 8-column block
+    # at 6 steps the Krylov basis spans the grid before its sixth block, so
+    # its Ritz pairs are exact; at 40 steps rank 1 stops the basis at the
+    # first Rayleigh-Ritz step, six 2-column blocks
     grid = TimeGrid(1.0, steps)
     result = recover_string(exact_response(SINGLE, grid), 0.5, grid)
     assert len(result.diagnostics.singular_values) == width
