@@ -43,7 +43,8 @@ def cases():
                     yield "B", segs, n, tf, draw
 
 
-def survey(path: str) -> None:
+def record(tag: str, segs: int, n: int, tf: float, draw: int) -> dict:
+    """Recover one case of ``cases()`` and return its record."""
     from krein_string import (
         StringSpec,
         TimeGrid,
@@ -54,35 +55,37 @@ def survey(path: str) -> None:
     )
     from krein_string.errors import KreinStringError
 
-    records = []
-    for tag, segs, n, tf, draw in cases():
-        rng = np.random.default_rng([7, segs, n, int(tf * 10), draw, ord(tag)])
-        spec = StringSpec(rng.uniform(0.5, 1.0, segs), rng.uniform(0.5, 1.0, segs - 1))
-        horizon = tf * spec.total_length
-        grid = TimeGrid(horizon, n)
-        fine = TimeGrid(2.0 * horizon, 2 * OVERSAMPLE * n)
-        l1 = float(spec.lengths[0])
-        rec = dict(tag=tag, segs=segs, n=n, tf=tf, draw=draw)
-        try:
-            r = response_function(compute_spectral_data(build_matrices(spec)), l1, fine)
-            start = time.perf_counter()
-            result = recover_string(r, l1, grid)
-            rec["s"] = time.perf_counter() - start
-            masses, lengths = result.recovered_masses, result.recovered_lengths
-            rec["masses"], rec["lengths"] = masses.tolist(), lengths.tolist()
-            rec["width"] = len(result.diagnostics.singular_values)
-            if len(masses) == segs - 1:
-                rec["err"] = max(
-                    float(np.max(np.abs(masses - spec.masses) / spec.masses)),
-                    float(np.max(np.abs(lengths - spec.lengths) / spec.lengths)),
-                )
-                rec["status"] = "ok" if rec["err"] <= OK_TOL else "bad"
-            else:
-                rec["status"] = "short" if len(masses) < segs - 1 else "long"
-        except KreinStringError as exc:
-            rec["status"] = type(exc).__name__
-            rec["detail"] = str(exc)
-        records.append(rec)
+    rng = np.random.default_rng([7, segs, n, int(tf * 10), draw, ord(tag)])
+    spec = StringSpec(rng.uniform(0.5, 1.0, segs), rng.uniform(0.5, 1.0, segs - 1))
+    horizon = tf * spec.total_length
+    grid = TimeGrid(horizon, n)
+    fine = TimeGrid(2.0 * horizon, 2 * OVERSAMPLE * n)
+    l1 = float(spec.lengths[0])
+    rec = dict(tag=tag, segs=segs, n=n, tf=tf, draw=draw)
+    try:
+        r = response_function(compute_spectral_data(build_matrices(spec)), l1, fine)
+        start = time.perf_counter()
+        result = recover_string(r, l1, grid)
+        rec["s"] = time.perf_counter() - start
+        masses, lengths = result.recovered_masses, result.recovered_lengths
+        rec["masses"], rec["lengths"] = masses.tolist(), lengths.tolist()
+        rec["width"] = len(result.diagnostics.singular_values)
+        if len(masses) == segs - 1:
+            rec["err"] = max(
+                float(np.max(np.abs(masses - spec.masses) / spec.masses)),
+                float(np.max(np.abs(lengths - spec.lengths) / spec.lengths)),
+            )
+            rec["status"] = "ok" if rec["err"] <= OK_TOL else "bad"
+        else:
+            rec["status"] = "short" if len(masses) < segs - 1 else "long"
+    except KreinStringError as exc:
+        rec["status"] = type(exc).__name__
+        rec["detail"] = str(exc)
+    return rec
+
+
+def survey(path: str) -> None:
+    records = [record(*case) for case in cases()]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh)
 

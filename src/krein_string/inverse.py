@@ -17,24 +17,20 @@ with a_0 = 1/l_1 in the parameter line (the image recursion starts with no
 predecessor term), and l_{k+1} = 1/a_k.
 
 On the grid t_i = i dt the kernel is a Hankel-minus-Toeplitz matrix in the
-2n+1 samples of P, so the connector keeps only those samples and applies the
-kernel matrix-free: one real FFT of the input, one of the output, O(n log n)
-per column.  All solves share one truncated eigendecomposition of the
-quadrature-weighted kernel.  Because the kernel has rank N-1, that
-decomposition is computed from a seeded randomized block Krylov range finder
-(block Lanczos with full reorthogonalization; Musco & Musco, "Randomized
-Block Krylov Methods for Stronger and Faster Approximate SVD", NeurIPS 2015)
-that only applies the kernel to thin blocks, once per basis column: each
-block is the image of the one before it, orthogonalized against the basis.
-Rayleigh-Ritz on span[W, A W, A^2 W, ...] runs from the sixth block on, and
-the basis stops growing once half of its Ritz values lie below the rank
-cut's band.  The kernel's images of the basis columns are kept, so each
-Krein solve reads C f from them without applying the kernel again.  This is
-the only factorization: no (n+1)^2 array is formed.  On grids under 16 steps
-the basis may grow to span the grid, and then its pairs are exact; on longer
-grids a numerical rank that a basis of an eighth of the grid cannot hold (a
-noise floor above the threshold, or too few steps per mass) raises
-``RankError``.
+2n+1 samples of P, applied matrix-free by FFT in O(n log n) per column.  Its
+truncated eigendecomposition in the quadrature-weighted form comes from a
+seeded randomized block Krylov range finder (Musco & Musco, NeurIPS 2015;
+``ConnectorFactorization``) that applies the kernel once per basis column;
+no (n+1)^2 array is formed.
+
+The recursion runs in the coordinates of the kept Ritz vectors.  Every C f_k
+lies in the range R = span{sin nu_k (T - t)}, and the grid's second
+difference scales each sampled sine by -(4/h^2) sin^2(nu h/2); fit on the
+Ritz vectors (ESPRIT's shift invariance: Roy & Kailath, IEEE Trans. ASSP 37,
+1989), it gives the nu_k and the exact curvature -nu_k^2 on R.  The
+trapezoid weighs each mode by kappa(nu) = (nu h_r/2) cot(nu h_r/2), which
+the solve divides out (Trefethen & Weideman, SIAM Review 56, 2014).  Each
+step is O(rank^2); only the controls f_k are formed on the grid.
 """
 
 from __future__ import annotations
@@ -48,7 +44,8 @@ from .forward import TimeGrid, Waveform, _next_fast_len
 from .model import _as_readonly
 
 A_DIVISION_GUARD = 1e-10
-# Largest relative residual a Krein solve may leave before recovery fails.
+# Largest relative part of r(T - t) outside the connector's range (step 1's
+# Krein solve residual) before recovery fails.
 MAX_RESIDUAL = 5e-2
 
 # Block Krylov range finder: block width and the fixed sketch seed (reruns
@@ -141,9 +138,6 @@ class DiscretizedConnector:
         np.fft.irfft(mixed, self._fft_length, out=padded)
         return padded[:, :nodes].T.reshape(block.shape)
 
-    def weighted_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(self.quad_weights * u * v))
-
 
 def _trapezoid_weights(n_steps: int, dt: float) -> np.ndarray:
     w = np.full(n_steps + 1, dt)
@@ -158,14 +152,24 @@ def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _trapezoid_gain(nu: np.ndarray, step: float) -> np.ndarray:
+    """kappa(nu) = (nu step / 2) cot(nu step / 2): on a grid of that step the
+    trapezoid running integral of sin(nu t) or cos(nu t) is exactly kappa(nu)
+    times the integral."""
+    half = 0.5 * nu * step
+    return half / np.tan(half)
+
+
 def build_connector(r: Waveform, l1: float, grid: TimeGrid) -> DiscretizedConnector:
     """The connector of a response sampled on [0, 2T]: the antiderivative of
     r on the control step and the FFT spectra that apply the kernel; no
     (n+1)^2 matrix is formed.
 
     ``r`` must live on a grid spanning twice the control horizon whose step
-    divides the control step; sampling r finer than the control grid drives
-    the cumulative-trapezoid error below the rank-detection floor.
+    divides the control step.  The cumulative trapezoid scales each mode of
+    r by kappa(nu) exactly (``_trapezoid_gain``), and recovery divides that
+    factor out, so a finer response step is not what makes the integral
+    exact.
     """
     if not (np.isfinite(l1) and l1 > 0.0):
         raise SpecError(f"l1 must be finite and positive, got {l1!r}")
@@ -204,42 +208,40 @@ class ConnectorFactorization:
     D K D is applied implicitly by block Krylov iteration: a seeded
     Gaussian block of ``SKETCH_BLOCK`` columns is orthonormalized, D K D is
     applied to it once, and that image, orthogonalized against the basis by
-    projecting, QR, projecting and QR again, is the next block.  The basis
-    and its image D K D Q are kept.  From the sixth block on (and whenever
-    the basis spans the n+1 grid nodes), Rayleigh-Ritz on the whole basis
-    gives its Ritz values, and the basis stops growing once at least half of
-    them fall below the bottom of the tie-break band,
-    ``threshold / 10 * sigma_max``, so the cut and its gap lie inside it.
-    ``singular_values`` then holds the basis' Ritz values, largest first,
-    and the Ritz vectors' images are kept next to them for ``solve``.  A
-    basis that spans the grid is returned at once, whatever the rank: its
-    Ritz pairs are exact.  When twice the number of Ritz values at or above
-    the floor, rounded up to ``CAP_BLOCK``, 2 ``CAP_BLOCK``, ..., passes the
-    rank cap, the rank is near n, and ``RankError`` names the basis width,
-    how many of its Ritz values fell below the floor, and the grid size; on
-    grids under 16 steps none is refused.
+    projecting, QR, projecting and QR again, is the next block.  From the
+    sixth block on (and whenever the basis spans the n+1 grid nodes),
+    Rayleigh-Ritz on the whole basis gives its Ritz values, and the basis
+    stops growing once at least half of them fall below the bottom of the
+    tie-break band, ``threshold / 10 * sigma_max``, so the cut and its gap
+    lie inside it.  ``singular_values`` holds the magnitudes of the Ritz
+    values, largest first, and ``_vals`` and ``_vecs`` the signed values and
+    their vectors; the basis' images are not kept.  A basis that spans the
+    grid is returned at once, whatever the rank: its Ritz pairs are exact.
+    When twice the number of Ritz values at or above the floor, rounded up
+    to ``CAP_BLOCK``, 2 ``CAP_BLOCK``, ..., passes the rank cap, the rank is
+    near n, and ``RankError`` names the basis width, how many of its Ritz
+    values fell below the floor, and the grid size; on grids under 16 steps
+    none is refused.
     """
 
     def __init__(self, connector: DiscretizedConnector, reg: Regularization | None = None):
         self.connector = connector
         self.reg = reg or Regularization()
         self._sqrt_w = np.sqrt(connector.quad_weights)
-        vals, vecs, images = self._ritz_pairs()
+        vals, vecs = self._ritz_pairs()
         order = np.argsort(np.abs(vals))[::-1]
         self.singular_values = np.abs(vals)[order]
         self._vals = vals[order]
         self._vecs = vecs[:, order]
-        self._images = images[:, order]
         self.rank = _rank_by_threshold(self.singular_values, self.reg.threshold)
-        self.last_image: np.ndarray | None = None
 
     def _apply_weighted(self, block: np.ndarray) -> np.ndarray:
         """D K D applied to the columns of ``block``."""
         sqrt_w = self._sqrt_w[:, None]
         return sqrt_w * self.connector._kernel_product(sqrt_w * block)
 
-    def _ritz_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ritz values, Ritz vectors and the vectors' images under D K D.
+    def _ritz_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ritz values and Ritz vectors of D K D.
 
         The basis, its image and the projection basis.T @ image grow in
         place, in storage that doubles when it is full; each pass projects
@@ -267,7 +269,7 @@ class ConnectorFactorization:
                 below = np.count_nonzero(magnitude < floor * top)
                 if top == 0.0 or below >= width // 2 or width == size:
                     ritz, coords = np.linalg.eigh(projected[:width, :width])
-                    return ritz, basis[:, :width] @ coords, image[:, :width] @ coords
+                    return ritz, basis[:, :width] @ coords
                 scheduled = CAP_BLOCK
                 while scheduled < min(2 * (width - below), size):
                     scheduled *= 2
@@ -299,24 +301,6 @@ class ConnectorFactorization:
             block = np.linalg.qr(block)[0]
         return block
 
-    def solve(self, rhs_values: np.ndarray) -> tuple[np.ndarray, float]:
-        """Minimum-norm truncated solution of (C f) = rhs; returns
-        (solution values, relative weighted residual).  The residual is
-        measured against the full (untruncated) operator: f lies in the
-        basis span, so C f is read from the kept images, and is kept as
-        ``last_image`` for the caller."""
-        if self.rank == 0:
-            raise RankError("connector has numerical rank 0")
-        weighted_rhs = self._sqrt_w * rhs_values
-        basis = self._vecs[:, : self.rank]
-        coeffs = (basis.T @ weighted_rhs) / self._vals[: self.rank]
-        solution = (basis @ coeffs) / self._sqrt_w
-        applied = self._images[:, : self.rank] @ coeffs
-        self.last_image = applied / self._sqrt_w
-        rhs_norm = float(np.linalg.norm(weighted_rhs))
-        residual = float(np.linalg.norm(applied - weighted_rhs)) / max(rhs_norm, 1e-300)
-        return solution, residual
-
 
 def _with_room(array: np.ndarray, rows: int, columns: int) -> np.ndarray:
     """``array`` copied into the leading corner of new column-major storage
@@ -345,22 +329,33 @@ def _rank_by_threshold(singular_values: np.ndarray, threshold: float) -> int:
     return lo + int(np.argmax(ratios)) + 1
 
 
-def _second_diff(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second differences, one-sided second-order stencils at the ends; they
-    read four nodes at each end."""
-    out = np.empty_like(values)
-    out[1:-1] = values[2:] - 2.0 * values[1:-1] + values[:-2]
-    out[0] = 2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2] - values[3]
-    out[-1] = 2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]
-    return out / dt**2
+def _range_model(basis: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies nu_k and modes Q of span(basis), sampled at step h, with
+    B q_k a multiple of sin nu_k (T - t).  The interior second difference
+    scales a sampled sine by mu = -(4/h^2) sin^2(nu h/2); M = Q diag(mu) Q^-1
+    is fit to B's interior rows by the normal equations, and a mu off the
+    real line or outside (-4/h^2, 0) fits no sine: ``RecoveryError``."""
+    inner = basis[1:-1]
+    second_diff = (basis[2:] - 2.0 * inner + basis[:-2]) / h**2
+    mu, modes = np.linalg.eig(np.linalg.solve(inner.T @ inner, inner.T @ second_diff))
+    bound = 4.0 / h**2
+    split = np.sqrt(np.finfo(float).eps) * bound  # how far rounding moves a close pair
+    outside = (np.abs(mu.imag) > split) | (mu.real <= -bound) | (mu.real >= 0.0)
+    if np.any(outside):
+        raise RecoveryError(
+            f"the connector's range is not sampled sines: second-difference eigenvalue "
+            f"{mu[outside][0]:.6g} lies outside (-4/h^2, 0) = ({-bound:.6g}, 0)"
+        )
+    return (2.0 / h) * np.arcsin(np.sqrt(-mu.real / bound)), modes
 
 
 @dataclass(frozen=True)
 class RecoveryDiagnostics:
     """The factorization's Ritz values (largest first) and rank, each step's
-    relative residual, and ``endpoint_gap``: -||f_1||^2 / (f_1'(T) l_1) - 1,
-    which vanishes for the exact f_1 at any l_1, so it measures the
-    discretization error of f_1 at t = T (NaN if f_1'(T) = 0)."""
+    relative residual (step 1's is the part of r(T - t) outside the range,
+    later ones are 0.0), and ``endpoint_gap``: -||f_1||^2 / (f_1'(T) l_1) - 1,
+    zero for the exact f_1 at any l_1, so it measures how far the range model
+    is from sampled sines (NaN if f_1'(T) = 0)."""
 
     singular_values: np.ndarray
     rank: int
@@ -388,83 +383,83 @@ def recover_string(
 ) -> RecoveryResult:
     """Full reconstruction from the response on [0, 2T].
 
-    The mass count is read off the connector's numerical rank; the loop
-    then alternates Krein solves with the parameter recursion.  The response
-    fixes the string only up to the scaling (c l, m / c), so the first
-    segment length is an input that picks c: recovery at c l_1 returns the
-    c-scaled string.
+    The mass count is read off the connector's numerical rank, and each step
+    holds C f_k = B d by its coordinates d in B = V / sqrt(w), V the kept
+    Ritz vectors.  The response fixes the string only up to the scaling
+    (c l, m / c), so the first segment length is an input that picks c:
+    recovery at c l_1 returns the c-scaled string.
     """
-    if grid.n_steps < 3:
-        raise GridError(
-            f"recovery needs at least 4 control-grid nodes for the curvature "
-            f"stencil (steps >= 3), got {grid.n_steps + 1}"
-        )
-    connector = build_connector(r, l1, grid)
-    fact = ConnectorFactorization(connector, reg)
-    n_detected = fact.rank
-    if n_detected == 0:
+    fact = ConnectorFactorization(build_connector(r, l1, grid), reg)
+    rank = fact.rank
+    if rank == 0:
         raise RankError("connector has numerical rank 0: response carries no string")
+    n, h = grid.n_steps, grid.dt
+    if n - 1 <= rank:
+        raise GridError(
+            f"recovery of rank {rank} needs more than {rank + 1} steps, got {n} "
+            f"({n / rank:.3g} per mass): the range model is fit on the n - 1 interior nodes"
+        )
 
-    n = grid.n_steps
+    sigma, vecs, sqrt_w = fact._vals[:rank], fact._vecs[:, :rank], fact._sqrt_w
+    basis = vecs / sqrt_w[:, None]  # B: orthonormal in the trapezoid inner product
+    nu, modes = _range_model(basis, h)
+    inv_modes = np.linalg.inv(modes)
+    curvature = ((modes * -(nu**2)) @ inv_modes).real  # F: d^2/dt^2 on the range
+    trapezoid = ((modes * _trapezoid_gain(nu, r.grid.dt)) @ inv_modes).real  # G
+
     q = r.grid.n_steps // (2 * n)
-    rhs = r.values[(n - np.arange(n + 1)) * q]  # r(T - t) on the control grid
+    weighted_rhs = sqrt_w * r.values[(n - np.arange(n + 1)) * q]  # r(T - t) on the control grid
+    coords = vecs.T @ weighted_rhs
+    rhs_norm = max(float(np.linalg.norm(weighted_rhs)), 1e-300)
+    residual = float(np.linalg.norm(weighted_rhs - vecs @ coords)) / rhs_norm
+    if residual > MAX_RESIDUAL:
+        raise RecoveryError(
+            f"step 1: Krein solve residual {residual:.3e} exceeds {MAX_RESIDUAL:.1e}", step=1
+        )
 
-    masses: list[float] = []
-    b_entries: list[float] = []
-    a_entries: list[float] = []
-    controls: list[Waveform] = []
-    residuals: list[float] = []
-
-    image = np.zeros(n + 1)  # C f_0 = 0: no predecessor term at step 1
+    entries: list[tuple[float, float, float]] = []  # (m_k, b_k, a_k)
+    coefficients: list[np.ndarray] = []
+    coords_prev = np.zeros(rank)  # C f_0 = 0: no predecessor term at step 1
     a_param = 1.0 / l1
 
-    for k in range(1, n_detected + 1):
-        f_values, residual = fact.solve(rhs)
-        if residual > MAX_RESIDUAL:
-            raise RecoveryError(
-                f"step {k}: Krein solve residual {residual:.3e} exceeds {MAX_RESIDUAL:.1e}",
-                step=k,
-            )
-        image_prev, image = image, fact.last_image
-        controls.append(Waveform(grid=grid, values=f_values))
-        residuals.append(residual)
-        gram = connector.weighted_inner(image, f_values)
+    for k in range(1, rank + 1):
+        coeffs = (trapezoid @ coords) / sigma
+        coefficients.append(coeffs)
+        gram = float(coords @ coeffs)
         if gram <= 0.0:
+            raise RecoveryError(f"step {k}: (C f_k, f_k) = {gram:.3e} is not positive", step=k)
+        m_k = 1.0 / gram
+        curved = curvature @ coords
+        b_k = m_k**2 * float(curved @ coeffs)
+        a_k = -b_k - a_param
+        if a_k < A_DIVISION_GUARD:
             raise RecoveryError(
-                f"step {k}: (C f_k, f_k) = {gram:.3e} would give a negative mass",
+                f"step {k}: recovered a_{k} = {a_k:.3e} below the division guard: "
+                f"l_{k + 1} = 1/a_{k} must be a positive length",
                 step=k,
             )
-        m_k = 1.0 / gram
-        curvature = _second_diff(image, grid.dt)
-        b_k = m_k**2 * connector.weighted_inner(curvature, f_values)
-        a_k = -b_k - a_param
-        if abs(a_k) < A_DIVISION_GUARD:
-            raise RecoveryError(
-                f"step {k}: recovered a_{k} = {a_k:.3e} below division guard", step=k
-            )
-        masses.append(m_k)
-        b_entries.append(b_k)
-        a_entries.append(a_k)
-        rhs = (m_k * curvature - a_param * image_prev - b_k * image) / a_k
+        entries.append((m_k, b_k, a_k))
+        coords_prev, coords = coords, (m_k * curved - a_param * coords_prev - b_k * coords) / a_k
         a_param = a_k
 
-    lengths = np.concatenate(([l1], 1.0 / np.array(a_entries)))
-    f1 = controls[0].values
-    deriv_end = (3.0 * f1[-1] - 4.0 * f1[-2] + f1[-3]) / (2.0 * grid.dt)
-    norm_sq = connector.weighted_inner(f1, f1)
-    endpoint_gap = -norm_sq / (deriv_end * l1) - 1.0 if deriv_end != 0.0 else np.nan
-
-    diagnostics = RecoveryDiagnostics(
-        singular_values=fact.singular_values,
-        rank=n_detected,
-        residuals=np.array(residuals),
-        endpoint_gap=float(endpoint_gap),
-    )
+    masses, b_entries, a_entries = (np.array(column) for column in zip(*entries))
+    lengths = np.concatenate(([l1], 1.0 / a_entries))
+    # f_1 = B c_f lies in the range, and its mode B q_k is alpha_k sin nu_k (T - t),
+    # so alpha_k is read off the row of t = T - h: f_1'(T) = -sum (Q^-1 c_f)_k nu_k alpha_k
+    f1 = coefficients[0]
+    alpha = (basis[n - 1] @ modes) / np.sin(nu * h)
+    deriv_end = -float(np.sum((inv_modes @ f1) * nu * alpha).real)
+    endpoint_gap = -float(f1 @ f1) / (deriv_end * l1) - 1.0 if deriv_end != 0.0 else np.nan
     return RecoveryResult(
-        recovered_masses=np.array(masses),
-        recovered_b=np.array(b_entries),
-        recovered_a=np.array(a_entries),
+        recovered_masses=masses,
+        recovered_b=b_entries,
+        recovered_a=a_entries,
         recovered_lengths=lengths,
-        controls=tuple(controls),
-        diagnostics=diagnostics,
+        controls=tuple(Waveform(grid=grid, values=f) for f in np.array(coefficients) @ basis.T),
+        diagnostics=RecoveryDiagnostics(
+            singular_values=fact.singular_values,
+            rank=rank,
+            residuals=np.array([residual] + [0.0] * (rank - 1)),
+            endpoint_gap=float(endpoint_gap),
+        ),
     )

@@ -5,8 +5,9 @@ directly: the Cauchy recursion for the polynomials phi_n, the spectral
 function mu, the response operator R, the piecewise-affine interpolant in x
 and the residual of the equivalent integral equation, plus the Chebyshev
 recurrence, the uniform string that the closed forms are checked on, and
-the connector's action C f on a vector, which recovery reads from its
-factorization instead.
+the connector's action C f on a vector, its trapezoid inner product, and
+the truncated solve of C f = g through the factorization's Ritz pairs,
+which recovery does not need: it works in the coordinates of the range.
 The forward solvers' hot paths are held to their plain forms: the trapezoid
 convolution as one transform of the whole kernel, and the RK4 oracle as one
 ``prop @ y + forcing`` per step.
@@ -107,6 +108,19 @@ def connector_apply(connector, values: np.ndarray) -> np.ndarray:
     or on each column of an (n+1, k) block, by the connector's FFT product."""
     weights = connector.quad_weights if values.ndim == 1 else connector.quad_weights[:, None]
     return connector._kernel_product(weights * values)
+
+
+def weighted_inner(connector, u: np.ndarray, v: np.ndarray) -> float:
+    """(u, v) in the connector's trapezoid inner product."""
+    return float(np.sum(connector.quad_weights * u * v))
+
+
+def truncated_solve(fact, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of C f = rhs through the rank-truncated Ritz
+    pairs of a ``ConnectorFactorization``, on the grid's nodes."""
+    basis = fact._vecs[:, : fact.rank]
+    coeffs = (basis.T @ (fact._sqrt_w * rhs)) / fact._vals[: fact.rank]
+    return (basis @ coeffs) / fact._sqrt_w
 
 
 def one_shot_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.ndarray:

@@ -21,7 +21,13 @@ from krein_string.inverse import ConnectorFactorization
 from krein_string.uniform import constant_one, gaussian_bump, image_sum
 
 from conftest import random_spec
-from reference import check_integral_equation, chebyshev_u, connector_apply, uniform_spec
+from reference import (
+    check_integral_equation,
+    chebyshev_u,
+    connector_apply,
+    uniform_spec,
+    weighted_inner,
+)
 
 SUITE_SEED = 2024
 
@@ -284,7 +290,7 @@ def test_criterion_8_connector_gram():
         t = grid.times
         f = ks.Waveform(grid, np.sin((2 + trial) * t) * np.exp(-t))
         g = ks.Waveform(grid, t**2 * np.cos(t))
-        lhs = connector.weighted_inner(connector_apply(connector, f.values), g.values)
+        lhs = weighted_inner(connector, connector_apply(connector, f.values), g.values)
         u_f = ks.solve_forward_spectral(mats, data, f, l1).states[-1]
         u_g = ks.solve_forward_spectral(mats, data, g, l1).states[-1]
         rhs = float(np.sum(spec.masses * u_f * u_g))

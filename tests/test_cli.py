@@ -210,21 +210,29 @@ def test_invert_names_the_line_of_a_non_numeric_field(tmp_path, small_response, 
 
 
 def test_too_few_steps_is_a_config_error(tmp_path, spec_file, small_response, capsys):
-    # the curvature stencil and the RK4 oracle's midpoint rule read four nodes
-    # at each end: steps 1 and 2 are rejected before any solve; steps 3
-    # reaches the recursion and fails there, and the oracle runs
+    # recovery fits its range model on the n - 1 interior nodes, which must
+    # outnumber the rank, and the RK4 oracle's midpoint rule reads four nodes
+    # at each end: steps 1 and 2 are rejected before any file is written, and
+    # steps 3 too for the two-mass string; there the oracle runs, and
+    # recovery runs from steps 4
     roundtrip = ["roundtrip", "--spec", spec_file, "--T", "2.0", "--out", str(tmp_path)]
     invert = ["invert", "--response", small_response(), "--l1", "0.5", "--out", str(tmp_path)]
     ode = ["forward", "--spec", spec_file, "--T", "2.0", "--solver", "ode", "--out", str(tmp_path)]
-    needs = {"roundtrip": "recovery", "invert": "recovery", "forward": "the RK4 oracle"}
+    needs = {
+        "roundtrip": "recovery of rank",
+        "invert": "recovery of rank 1",
+        "forward": "the RK4 oracle",
+    }
     for argv in (roundtrip, invert, ode):
         for steps in ("1", "2"):
             assert run(*argv, "--steps", steps) == 2, (argv[0], steps)
             err = capsys.readouterr().err
-            assert err.startswith(f"error_code=2 detail={needs[argv[0]]} needs at least 4")
+            assert err.startswith(f"error_code=2 detail={needs[argv[0]]} "), err
             assert "Traceback" not in err
-    assert run(*roundtrip, "--steps", "3") == 3
-    assert capsys.readouterr().err.startswith("error_code=3 ")
+    assert run(*roundtrip, "--steps", "3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error_code=2 detail=recovery of rank 2 needs more than 3 steps, got 3 ")
+    assert run(*roundtrip, "--steps", "4") == 0
     assert run(*ode, "--steps", "3") == 0
 
 
