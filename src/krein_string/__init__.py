@@ -22,7 +22,6 @@ from .model import (
     SystemMatrices,
     build_matrices,
     read_spec_file,
-    validate_spec,
 )
 from .spectral import SpectralData, compute_spectral_data
 from .forward import (
@@ -38,7 +37,6 @@ from .forward import (
 from .inverse import (
     DiscretizedConnector,
     RecoveryResult,
-    Regularization,
     build_connector,
     recover_string,
 )

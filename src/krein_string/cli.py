@@ -49,7 +49,7 @@ from .forward import (
     solve_forward_spectral,
 )
 from .floattext import format_block
-from .inverse import Regularization, recover_string
+from .inverse import recover_string
 from .model import build_matrices, read_spec_file
 from .spectral import compute_spectral_data
 
@@ -199,9 +199,14 @@ class _TableRows:
 
 
 def _control_waveform(descriptor: str, grid: TimeGrid) -> Waveform:
-    if descriptor.startswith("delta"):
-        _, _, width = descriptor.partition(":")
-        return mollified_delta(grid, float(width) if width else 0.02)
+    name, _, width = descriptor.partition(":")
+    if name == "delta":
+        try:
+            return mollified_delta(grid, float(width) if width else 0.02)
+        except ValueError:
+            raise ValueError(
+                f"--control delta width must be finite and positive, got {width!r}"
+            ) from None
     xi = uniform.parse_test_function(descriptor)
     return Waveform(grid=grid, values=np.asarray(xi(grid.times), dtype=float))
 
@@ -281,18 +286,21 @@ def _emit_recovery(out_dir: Path, echo: str, result) -> None:
     diag = result.diagnostics
     n_masses = len(result.recovered_masses)
     sigma = diag.singular_values
-    # cond_k is the one condition number of the truncated factorization
-    cond = float(sigma[0] / sigma[diag.rank - 1])
+    # cond_k is the one condition number of the truncated factorization, and
+    # residual_k holds step 1's residual; later steps stay in the range
+    cond = float(sigma[0] / sigma[n_masses - 1])
     columns = np.column_stack(
         [
             result.recovered_masses,
             result.recovered_b,
             result.recovered_a,
             result.recovered_lengths[:n_masses],
-            diag.residuals,
         ]
     )
-    rows = [(k, *row, cond) for k, row in enumerate(columns.tolist(), start=1)]
+    rows = [
+        (k, *row, diag.residual if k == 1 else 0.0, cond)
+        for k, row in enumerate(columns.tolist(), start=1)
+    ]
     _write_csv(
         out_dir / "recovery.csv",
         echo,
@@ -308,11 +316,11 @@ def _emit_recovery(out_dir: Path, echo: str, result) -> None:
 def _cmd_invert(args, echo: str) -> int:
     r = _read_response_csv(args.response)
     grid = TimeGrid(horizon=r.grid.horizon / 2.0, n_steps=args.steps)
-    result = recover_string(r, args.l1, grid, Regularization(threshold=args.threshold))
+    result = recover_string(r, args.l1, grid, args.threshold)
     _emit_recovery(Path(args.out), echo, result)
-    diag = result.diagnostics
     print(
-        f"rank={diag.rank} endpoint_gap={_fmt(diag.endpoint_gap)} "
+        f"rank={len(result.recovered_masses)} "
+        f"endpoint_gap={_fmt(result.diagnostics.endpoint_gap)} "
         f"last_length={_fmt(result.recovered_lengths[-1])}"
     )
     return EXIT_OK
@@ -321,6 +329,10 @@ def _cmd_invert(args, echo: str) -> int:
 def _cmd_roundtrip(args, echo: str) -> int:
     if not (np.isfinite(args.noise) and args.noise >= 0.0):
         raise ValueError(f"noise must be finite and non-negative, got {args.noise!r}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed!r}")
+    if args.oversample < 1:
+        raise ValueError(f"--oversample must be at least 1, got {args.oversample!r}")
     spec = read_spec_file(args.spec)
     data = compute_spectral_data(build_matrices(spec))
     l1 = float(spec.lengths[0])
@@ -331,11 +343,11 @@ def _cmd_roundtrip(args, echo: str) -> int:
         rng = np.random.default_rng(args.seed)
         noisy = r.values + args.noise * rng.standard_normal(len(r.values))
         r = Waveform(grid=fine, values=noisy)
-    result = recover_string(r, l1, grid, Regularization(threshold=args.threshold))
+    result = recover_string(r, l1, grid, args.threshold)
     _emit_recovery(Path(args.out), echo, result)
 
     err_m = err_l = np.inf
-    if result.diagnostics.rank == spec.n_masses:
+    if len(result.recovered_masses) == spec.n_masses:
         err_m = float(
             np.max(np.abs(result.recovered_masses - spec.masses) / spec.masses)
         )

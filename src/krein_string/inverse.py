@@ -60,17 +60,6 @@ MAX_BASIS_FRACTION = 1.0 / 8.0
 
 
 @dataclass(frozen=True)
-class Regularization:
-    """Truncation threshold, relative to sigma_max."""
-
-    threshold: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold!r}")
-
-
-@dataclass(frozen=True)
 class DiscretizedConnector:
     """Connector on the control grid t_0..t_n, held as the 2n+1 samples
     ``cumulative[m] = P(m dt)`` of the antiderivative of r and the scale
@@ -202,8 +191,9 @@ class ConnectorFactorization:
     The kernel is symmetric positive semi-definite in the trapezoid inner
     product, so its weighted form D K D (D = diag(sqrt(w))) is an ordinary
     symmetric eigenproblem; truncation keeps singular values above
-    ``reg.threshold * sigma_max`` with the cut refined to the largest
-    relative gap when values straddle the threshold.
+    ``threshold * sigma_max`` with the cut refined to the largest
+    relative gap when values straddle the threshold (``recover_string``
+    checks that the threshold lies in (0, 1)).
 
     D K D is applied implicitly by block Krylov iteration: a seeded
     Gaussian block of ``SKETCH_BLOCK`` columns is orthonormalized, D K D is
@@ -224,30 +214,26 @@ class ConnectorFactorization:
     none is refused.
     """
 
-    def __init__(self, connector: DiscretizedConnector, reg: Regularization | None = None):
-        self.connector = connector
-        self.reg = reg or Regularization()
+    def __init__(self, connector: DiscretizedConnector, threshold: float = 1e-8):
         self._sqrt_w = np.sqrt(connector.quad_weights)
-        vals, vecs = self._ritz_pairs()
+        vals, vecs = self._ritz_pairs(connector, threshold)
         order = np.argsort(np.abs(vals))[::-1]
         self.singular_values = np.abs(vals)[order]
         self._vals = vals[order]
         self._vecs = vecs[:, order]
-        self.rank = _rank_by_threshold(self.singular_values, self.reg.threshold)
+        self.rank = _rank_by_threshold(self.singular_values, threshold)
 
-    def _apply_weighted(self, block: np.ndarray) -> np.ndarray:
-        """D K D applied to the columns of ``block``."""
-        sqrt_w = self._sqrt_w[:, None]
-        return sqrt_w * self.connector._kernel_product(sqrt_w * block)
-
-    def _ritz_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def _ritz_pairs(
+        self, connector: DiscretizedConnector, threshold: float
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Ritz values and Ritz vectors of D K D.
 
         The basis, its image and the projection basis.T @ image grow in
         place, in storage that doubles when it is full; each pass projects
         only its new block, and the stop test needs only the Ritz values."""
         size = len(self._sqrt_w)
-        floor = self.reg.threshold / 10.0
+        sqrt_w = self._sqrt_w[:, None]
+        floor = threshold / 10.0
         cap = max(int(MAX_BASIS_FRACTION * size), CAP_BLOCK)
         block = np.random.default_rng(SKETCH_SEED).standard_normal((size, SKETCH_BLOCK))
         basis = image = np.empty((size, 0))
@@ -260,7 +246,8 @@ class ConnectorFactorization:
                 basis, image = _with_room(basis, size, room), _with_room(image, size, room)
                 projected = _with_room(projected[:start, :start], room, room)
             basis[:, start:width] = self._orthonormalize(block, basis[:, :start] if start else None)
-            image[:, start:width] = self._apply_weighted(basis[:, start:width])
+            weighted = sqrt_w * basis[:, start:width]
+            image[:, start:width] = sqrt_w * connector._kernel_product(weighted)
             projected[start:width, :width] = basis[:, start:width].T @ image[:, :width]
             projected[:start, start:width] = projected[start:width, :start].T
             if width >= 6 * SKETCH_BLOCK or width == size:
@@ -351,15 +338,15 @@ def _range_model(basis: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RecoveryDiagnostics:
-    """The factorization's Ritz values (largest first) and rank, each step's
-    relative residual (step 1's is the part of r(T - t) outside the range,
-    later ones are 0.0), and ``endpoint_gap``: -||f_1||^2 / (f_1'(T) l_1) - 1,
-    zero for the exact f_1 at any l_1, so it measures how far the range model
-    is from sampled sines (NaN if f_1'(T) = 0)."""
+    """The factorization's Ritz values (largest first; the rank is the
+    recovered mass count), the relative part of r(T - t) outside the range
+    (step 1's Krein solve residual; later steps stay in the range), and
+    ``endpoint_gap``: -||f_1||^2 / (f_1'(T) l_1) - 1, zero for the exact f_1
+    at any l_1, so it measures how far the range model is from sampled sines
+    (NaN if f_1'(T) = 0)."""
 
     singular_values: np.ndarray
-    rank: int
-    residuals: np.ndarray
+    residual: float
     endpoint_gap: float
 
 
@@ -379,17 +366,20 @@ def recover_string(
     r: Waveform,
     l1: float,
     grid: TimeGrid,
-    reg: Regularization | None = None,
+    threshold: float = 1e-8,
 ) -> RecoveryResult:
     """Full reconstruction from the response on [0, 2T].
 
-    The mass count is read off the connector's numerical rank, and each step
-    holds C f_k = B d by its coordinates d in B = V / sqrt(w), V the kept
-    Ritz vectors.  The response fixes the string only up to the scaling
-    (c l, m / c), so the first segment length is an input that picks c:
-    recovery at c l_1 returns the c-scaled string.
+    The mass count is read off the connector's numerical rank: singular
+    values below ``threshold * sigma_max`` are cut, with ``threshold`` in
+    (0, 1).  Each step holds C f_k = B d by its coordinates d in
+    B = V / sqrt(w), V the kept Ritz vectors.  The response fixes the string
+    only up to the scaling (c l, m / c), so the first segment length is an
+    input that picks c: recovery at c l_1 returns the c-scaled string.
     """
-    fact = ConnectorFactorization(build_connector(r, l1, grid), reg)
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold!r}")
+    fact = ConnectorFactorization(build_connector(r, l1, grid), threshold)
     rank = fact.rank
     if rank == 0:
         raise RankError("connector has numerical rank 0: response carries no string")
@@ -458,8 +448,7 @@ def recover_string(
         controls=tuple(Waveform(grid=grid, values=f) for f in np.array(coefficients) @ basis.T),
         diagnostics=RecoveryDiagnostics(
             singular_values=fact.singular_values,
-            rank=rank,
-            residuals=np.array([residual] + [0.0] * (rank - 1)),
+            residual=residual,
             endpoint_gap=float(endpoint_gap),
         ),
     )

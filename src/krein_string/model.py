@@ -125,26 +125,6 @@ class SystemMatrices:
         return a
 
 
-def validate_spec(raw) -> StringSpec:
-    """Validate a candidate string record.
-
-    ``raw`` may be a mapping with ``lengths``/``masses`` keys, a pair of
-    sequences, or an existing :class:`StringSpec` (returned unchanged).
-    """
-    if isinstance(raw, StringSpec):
-        return raw
-    if isinstance(raw, dict):
-        missing = {"lengths", "masses"} - raw.keys()
-        if missing:
-            raise SpecError(f"missing keys: {sorted(missing)}")
-        return StringSpec(raw["lengths"], raw["masses"])
-    try:
-        lengths, masses = raw
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"cannot interpret {type(raw).__name__} as a string record") from exc
-    return StringSpec(lengths, masses)
-
-
 def build_matrices(spec: StringSpec) -> SystemMatrices:
     """Assemble the stiffness/mass pair from a validated spec."""
     return SystemMatrices(couplings=1.0 / spec.lengths, masses=spec.masses)
@@ -179,7 +159,10 @@ def parse_spec_text(text: str) -> StringSpec:
             record[key] = [float(tok) for tok in value.split(",") if tok.strip()]
         except ValueError as exc:
             raise SpecError(f"line {lineno}: bad number in {value!r}") from exc
-    return validate_spec(record)
+    missing = {"lengths", "masses"} - record.keys()
+    if missing:
+        raise SpecError(f"missing keys: {sorted(missing)}")
+    return StringSpec(record["lengths"], record["masses"])
 
 
 def read_spec_file(path) -> StringSpec:

@@ -311,7 +311,7 @@ def test_criterion_9_connector_rank():
         grid = ks.TimeGrid(horizon, 1200)
         fine = ks.TimeGrid(2.0 * horizon, 2 * 16 * 1200)
         connector = ks.build_connector(ks.response_function(data, l1, fine), l1, grid)
-        fact = ConnectorFactorization(connector, ks.Regularization(threshold=1e-8))
+        fact = ConnectorFactorization(connector, 1e-8)
         above = int(np.sum(fact.singular_values >= 1e-8 * fact.singular_values[0]))
         results[n_segments] = above
     ok = all(results[n] == n - 1 for n in results)

@@ -252,16 +252,21 @@ def test_too_few_steps_is_a_config_error(tmp_path, spec_file, small_response, ca
         ("roundtrip", "--noise", "-1e-6", "noise must be finite and non-negative"),
         ("roundtrip", "--noise", "nan", "noise must be finite and non-negative"),
         ("roundtrip", "--noise", "inf", "noise must be finite and non-negative"),
+        ("roundtrip", "--oversample", "0", "--oversample must be at least 1"),
+        ("roundtrip", "--seed", "-1", "--seed must be non-negative"),
+        ("forward", "--control", "delta:abc", "--control delta width must be finite and positive"),
     ],
 )
 def test_invalid_recovery_inputs_are_config_errors(
     command, option, value, detail, tmp_path, spec_file, small_response, capsys
 ):
     # each is rejected before any artifact is written, never read as a
-    # degenerate but accepted configuration
+    # degenerate but accepted configuration; the seed is refused even where
+    # no noise is drawn
     base = {
         "invert": ["invert", "--response", small_response(), "--l1", "0.5", "--steps", "100"],
         "roundtrip": ["roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "900"],
+        "forward": ["forward", "--spec", spec_file, "--T", "1.0", "--steps", "800"],
     }[command]
     out = tmp_path / "out"
     assert run(*base, f"{option}={value}", "--out", str(out)) == 2
@@ -346,6 +351,7 @@ def test_uniform_prop1_sums_only_the_compared_components(tmp_path):
         ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:0"],
         ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:-0.02"],
         ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:nan"],
+        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "deltafoo"],
         ["forward", "--spec", "{spec}", "--T", "inf", "--steps", "800"],
         ["response", "--spec", "{spec}", "--T", "inf", "--steps", "800"],
         ["uniform-sweep", "--prop", "4", "--N", "8", "--t", "inf"],
@@ -750,14 +756,16 @@ def test_only_roundtrip_takes_a_seed(tmp_path, spec_file, capsys):
 
 
 def test_benchmark_tracer_fits_the_commands(tmp_path, monkeypatch, spec_file):
-    # perfbench's tracer rebinds names of cli and the library to timing
-    # wrappers, and its _write_csv hands on every table as a list of rows:
-    # each traced command still exits 0 and writes the untraced bytes (the
-    # long tables of which are split in up to three parts), and restore()
-    # puts every name back
+    # perfbench's tracer, imported from the checkout as it stands, rebinds
+    # names of cli and the library to timing wrappers, subclasses
+    # ConnectorFactorization as (connector, reg=None), and its _write_csv
+    # hands on every table as a list of rows: each traced command still
+    # exits 0 and writes the untraced bytes (the long tables of which are
+    # split in up to three parts), the roundtrip's one factorization and the
+    # Bessel sweep are counted, and restore() puts every name back
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    from tracing import Instrumentation, Tracer
+    from tracing import Instrumentation, Tracer, layer_metrics
 
     from krein_string import forward, inverse, uniform
 
@@ -770,6 +778,7 @@ def test_benchmark_tracer_fits_the_commands(tmp_path, monkeypatch, spec_file):
         "response": ["response", *common, "--steps", "70000"],
         "roundtrip": ["roundtrip", *common, "--steps", "400"],
         "uniform": ["uniform-sweep", "--prop", "1", "--N", "8,16"],
+        "bessel": ["uniform-sweep", "--prop", "4", "--N", "8,16"],
     }
 
     def outputs():
@@ -792,5 +801,9 @@ def test_benchmark_tracer_fits_the_commands(tmp_path, monkeypatch, spec_file):
     # every table passed through the tracer's counting writer
     rows = [line for body in traced.values() for line in body.splitlines()[2:]]
     assert tracer.counts["cli.rows_written"] == sum(not line.startswith(b"#") for line in rows)
+    metrics = layer_metrics(tracer)
+    assert metrics["inverse.factor_calls"] == 1
+    assert metrics["bessel.ladder_calls"] == 2  # one per N
     spans = {span[0] for span in tracer.spans}
     assert {"cli.main", "forward.solve_forward_spectral", "forward.solve_forward_ode"} <= spans
+

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krein_string import SpecError, StringSpec, build_matrices, validate_spec
+from krein_string import SpecError, StringSpec, build_matrices
 from krein_string.model import parse_spec_text
 
 from conftest import random_spec
@@ -21,24 +21,19 @@ def specs(draw, max_masses=9):
 
 
 def test_validate_minimal_single_mass():
-    spec = validate_spec({"lengths": [0.5, 0.5], "masses": [1.0]})
+    spec = parse_spec_text("lengths=0.5,0.5\nmasses=1.0\n")
     assert spec.n_masses == 1
     assert spec.n_segments == 2
 
 
 def test_validate_rejects_negative_length():
     with pytest.raises(SpecError, match="non-positive length"):
-        validate_spec({"lengths": [0.5, -0.5], "masses": [1.0]})
+        StringSpec([0.5, -0.5], [1.0])
 
 
 def test_validate_rejects_count_mismatch():
     with pytest.raises(SpecError, match="count mismatch"):
-        validate_spec({"lengths": [0.25, 0.25, 0.25, 0.25], "masses": [0.3, 0.5]})
-
-
-def test_validate_accepts_pair_and_passthrough():
-    spec = validate_spec(([0.5, 0.5], [1.0]))
-    assert validate_spec(spec) is spec
+        StringSpec([0.25, 0.25, 0.25, 0.25], [0.3, 0.5])
 
 
 def test_build_matrices_single_mass():
