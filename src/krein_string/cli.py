@@ -6,9 +6,9 @@ produce byte-identical files.  Floats are written with shortest round-trip
 precision, the bytes of ``repr``, index columns as ints.  Short tables
 stream in one pass, a ``repr`` join per row.  Only the long tables of
 ``forward`` and ``response`` (``_TableRows``) are split: ``_write_csv``
-formats them with ``floattext.format_block`` in up to one part per usable
-CPU, each part pinned to its CPU and each after the first in a forked
-child, and the bytes do not depend on the split.  Python 3.12 and later
+formats them as bytes with ``floattext.format_block`` in up to one part per
+usable CPU, each after the first in a forked child that the parent places
+on its CPU, and the bytes do not depend on the split.  Python 3.12 and later
 issue a ``DeprecationWarning`` for that ``fork()``, since numpy's OpenBLAS
 threads are running.  Exit codes: 0 success, 2 configuration error, 3
 numerical failure, 4 I/O failure.
@@ -66,13 +66,13 @@ EXIT_IO = 4
 # 2-CPU VM); 2**13 keeps clear of the rise.
 _BLOCK_FIELDS = 2**13
 
-# Fewest fields a part is given.  On a 2-CPU VM, forking and reaping a child
-# costs 4-5.5 ms in a process that holds those tables (with numpy alone
-# loaded, as every command but uniform-sweep runs, and with scipy.special
-# too), and the child's part then passes through a temporary file.  Against
-# one part, two took 1.2-1.4 times as long at 40004 fields, the same at 64002
-# and 80008 (0.97-1.08) and 0.65-0.8 times at 160016 and 240024 (medians of
-# 10, interleaved), so a table is split from 2**17 fields on.
+# Fewest fields a part is given.  On a 2-CPU VM, in a 64 MB process, a fork
+# and its reap take 3.1-3.5 ms, the child runs its first instruction 2.5 ms
+# after the fork once the parent places it (4.6 ms when it pinned itself),
+# and writing and reading its spill file takes 2.4 ms per 3 MB.  A part
+# thus costs about 6 ms beyond its own formatting, as long as formatting
+# 2**15 fields takes (about 200 ns each), so a table is split from 2**17
+# fields on.
 _MIN_PART_FIELDS = 2**16
 
 _CONFIG_ERRORS = (SpecError, GridError, ValueError)
@@ -99,11 +99,11 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _pin(cpus: set[int]) -> None:
-    """Run this thread on ``cpus`` only, if the OS lets it: an ``OSError``
-    leaves its mask as it was."""
+def _pin(pid: int, cpus: set[int]) -> None:
+    """Run process ``pid`` (0: this thread) on ``cpus`` only, if the OS lets
+    it: an ``OSError`` leaves its mask as it was."""
     try:
-        os.sched_setaffinity(0, cpus)
+        os.sched_setaffinity(pid, cpus)
     except OSError:
         pass
 
@@ -115,22 +115,22 @@ def _write_csv(path: Path, echo: str, header: list[str], rows) -> None:
     they hold plain Python ints and floats (build them with ``tolist()``),
     so ``repr`` writes what ``_fmt`` would (an ``np.float64`` would not).
     A table is cut into P = min(usable CPUs, fields // ``_MIN_PART_FIELDS``)
-    parts, at least 1.  A forked child writes each part after the first into
-    an anonymous temporary file and leaves through ``os._exit``, while this
-    process writes the first; the others are appended in order once every
-    child is reaped, and a child that fails makes this raise ``OSError``.
-    Part i is pinned to CPU i of this thread's mask (wrapping around), as
-    far as the OS allows, so a child does not start and stay on its
-    parent's CPU; the thread's mask is restored once the children are
-    reaped.
+    parts, at least 1.  A forked child writes each part after the first as
+    bytes into an anonymous temporary file and leaves through ``os._exit``,
+    while this process writes the first; the others are appended in order
+    once every child is reaped, and a child that fails makes this raise
+    ``OSError``.  Right after each fork this process places child i on CPU
+    i of this thread's mask (wrapping around), then itself on the first, as
+    far as the OS allows, so no child starts and stays on its parent's CPU;
+    the thread's mask is restored once the children are reaped.
     Either way the bytes are those of one join of every line's ``repr``.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
-        fh = stack.enter_context(open(path, "w", encoding="utf-8"))
-        fh.write(f"# {echo}\n{','.join(header)}\n")
+        fh = stack.enter_context(open(path, "wb"))
+        fh.write(f"# {echo}\n{','.join(header)}\n".encode())
         if not isinstance(rows, _TableRows):
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            fh.writelines((",".join(map(repr, row)) + "\n").encode() for row in rows)
             return
         fields = len(rows.times) * len(header)
         parts = rows.split(max(1, min(_usable_cpus(), fields // _MIN_PART_FIELDS)))
@@ -139,7 +139,7 @@ def _write_csv(path: Path, echo: str, header: list[str], rows) -> None:
         cpus = sorted(mask)
         try:
             for i, part in enumerate(parts[1:], start=1):
-                spill = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+                spill = stack.enter_context(tempfile.TemporaryFile())
                 spills.append(spill)
                 pid = os.fork()
                 if pid == 0:
@@ -147,20 +147,20 @@ def _write_csv(path: Path, echo: str, header: list[str], rows) -> None:
                     # flushes no inherited buffer and runs no caller code
                     code = 1
                     try:
-                        _pin({cpus[i % len(cpus)]})
                         part.write(spill)
                         spill.flush()
                         code = 0
                     finally:
                         os._exit(code)
                 pids.append(pid)
+                _pin(pid, {cpus[i % len(cpus)]})
             if mask:
-                _pin({cpus[0]})
+                _pin(0, {cpus[0]})
             parts[0].write(fh)
         finally:
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
             if mask:
-                _pin(mask)
+                _pin(0, mask)
         if any(codes):
             raise OSError(f"{path}: formatting rows in a child process failed, exit codes {codes}")
         for spill in spills:
@@ -190,6 +190,7 @@ class _TableRows:
             yield np.column_stack([self.times[block], self.values[block]])
 
     def write(self, fh) -> None:
+        """Write the rows as bytes to the binary file ``fh``."""
         for block in self.blocks():
             fh.write(format_block(block))
 

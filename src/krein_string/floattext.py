@@ -1,16 +1,19 @@
 """CSV text of float64 blocks, byte for byte what joining ``repr`` writes.
 
 ``format_block(block)`` equals
-``"".join(",".join(map(repr, row)) + "\\n" for row in block.tolist())``, with
-no Python float or string per field.  The digits are Schubfach's (R.
+``"".join(",".join(map(repr, row)) + "\\n" for row in block.tolist())``
+encoded as ASCII ``bytes``, with no Python float or string per field.  The
+digits of every finite value, integers included, are Schubfach's (R.
 Giulietti, "The Schubfach way to render doubles", 2020; the JDK's
 ``Double.toString``), the shortest decimal that reads back to v and the
 closest on a tie, in 64-bit integer arithmetic over uint64 arrays; without
 Java's two-digit minimum, the one-digit shortening is tried for every
-s >= 10.  The layout is ``repr``'s, built as a uint8 array of (character
-places x fields), and one boolean compress drops the NUL padding of each
-field.  The tables are built on first use, and no BLAS routine is called,
-so a forked child may format.
+s >= 10.  Each field is laid out once at fixed places of a uint8 array of
+(fields x 25 places): sign, digits and point from place 0 (a lone digit in
+exponent notation takes no point), an exponent's ``e+XX`` at places 19-23,
+the separator at place 24, and NUL wherever nothing is written; one
+boolean compress drops every NUL.  The tables are built on first use, and
+no BLAS routine is called, so a forked child may format.
 """
 
 from __future__ import annotations
@@ -38,13 +41,13 @@ def _tables():
         num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
         g.append((num << max(-r, 0)) // (den << max(r, 0)) + 1)
     suffix = b"".join((b"e%+03d" % x).ljust(5, b"\0") for x in range(-324, 309))
-    special = b"".join(name.ljust(_WIDTH, b"\0") for name in (b"nan", b"-inf", b"inf"))
+    special = b"".join(name.ljust(_WIDTH - 1, b"\0") for name in (b"nan", b"-inf", b"inf"))
     tables = (
         np.array([x >> 63 for x in g], np.uint64),
         np.array([x & (2**63 - 1) for x in g], np.uint64),
         np.array([10**i for i in range(18)], np.uint64),
-        np.frombuffer(suffix, np.uint8).reshape(-1, 5),
-        np.frombuffer(special, np.uint8).reshape(3, _WIDTH),
+        np.frombuffer(suffix, "V5"),
+        np.frombuffer(special, np.uint8).reshape(3, _WIDTH - 1),
     )
     for table in tables:  # shared by every call
         table.flags.writeable = False
@@ -105,12 +108,10 @@ def _decimal(bits):
     mid = (s << _U(2)) + _U(2)
     take_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & _U(1)) == 0)))
     f = np.where(short, sp10 + _U(10) * ~upin, s + ~take_s)
-    shift = np.clip(-q, 0, 63).astype(np.uint64)
-    integer = (q < 0) & (q > -53) & ((c >> shift) << shift == c)  # its own digits
-    return np.where(integer, c >> shift, f) * (c != 0), np.where(integer | (c == 0), 0, k)
+    return f * (c != 0), np.where(c == 0, 0, k)
 
 
-def format_block(block: np.ndarray) -> str:
+def format_block(block: np.ndarray) -> bytes:
     """The rows of ``block``, ',' between fields and '\\n' after each row."""
     rows, cols = block.shape
     m, width = rows * cols, _WIDTH
@@ -135,35 +136,29 @@ def format_block(block: np.ndarray) -> str:
         halves = np.empty((len(parts), 2, m), dtype)
         halves[:, 0], halves[:, 1] = high, parts - high * div
         parts = halves.reshape(2 * len(parts), m)
-    digits = np.zeros((width + 1, m), np.uint8)  # row 0 stands before the string
-    digits[1:25] = parts
-    last = ((digits[1:25] != 0) * np.arange(1, 25, dtype=np.uint8)[:, None]).max(axis=0)
-    point = (np.where(fixed, np.maximum(x, 0), 0) + neg).astype(np.uint8)
+    digits = np.zeros((width, m), np.uint8)  # row 0 stands before the string
+    digits[1:] = parts
+    last = ((parts != 0) * np.arange(1, width, dtype=np.uint8)[:, None]).max(axis=0)
+    # the point follows the integer part, or the first digit unless it is
+    # the only one; a lone digit's point is placed beyond the field
+    point = np.where(fixed, np.maximum(x, 0) + neg, np.where(last > neg + 1, neg, width)).astype(np.uint8)
     # ASCII up to the last nonzero digit, and in fixed notation up to one
     # after the point at least; NUL beyond
     end = np.where(fixed, np.maximum(last, point + 2), last).astype(np.uint8)
-    digits += np.uint8(48) * (np.arange(width + 1, dtype=np.uint8)[:, None] <= end)
+    digits += np.uint8(48) * (np.arange(width, dtype=np.uint8)[:, None] <= end)
     # character p: digit p up to the point's place, '.', then digit p - 1
     at, before = digits[1:], digits[:-1]
-    place = np.arange(width, dtype=np.uint8)[:, None]
+    place = np.arange(width - 1, dtype=np.uint8)[:, None]
     text = np.empty((m, width), np.uint8)
-    text[...] = (before + (at - before) * (place <= point) + (np.uint8(46) - before) * (place == point + 1)).T
+    text[:, :-1] = (before + (at - before) * (place <= point) + (np.uint8(46) - before) * (place == point + 1)).T
     text[:, 0] -= 3 * neg  # the sign's '0' becomes '-'
-    flat = text.ravel()
-    stop = end.astype(np.intp) + np.arange(1, m * width, width)
     exp = np.flatnonzero(~fixed)
-    if exp.size:
-        letters = suffix[x[exp] + 324]
-        start = exp * width + last[exp] + (last[exp] > point[exp] + 1)
-        for j in range(5):
-            flat[start + j] = letters[:, j]
-        stop[exp] = start + 4 + (letters[:, 4] != 0)
-    sep = np.full(m, ord(","), np.uint8)
-    sep[cols - 1 :: cols] = ord("\n")
-    flat[stop] = sep
+    if exp.size:  # places 19-23 of each field as one 5-byte item
+        np.ndarray((m,), suffix.dtype, text, 19, (width,))[exp] = suffix[x[exp] + 324]
     bad = np.flatnonzero(~finite)
-    if bad.size:
-        kind = np.where(bits[bad] & _FRACTION, 0, 2 - neg[bad].astype(np.intp))
-        text[bad] = special[kind]
-        text[bad, 3 + (kind == 1)] = sep[bad]
-    return flat[flat != 0].tobytes().decode("ascii")
+    text[bad, :-1] = special[np.where(bits[bad] & _FRACTION, 0, 2 - neg[bad])]
+    sep = text.reshape(rows, cols, width)[:, :, -1]
+    sep[...] = ord(",")
+    sep[:, -1] = ord("\n")
+    flat = text.ravel()
+    return flat[flat != 0].tobytes()

@@ -2,6 +2,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -574,8 +575,10 @@ def test_write_csv_reaps_every_child_when_a_part_fails(tmp_path, monkeypatch, sp
 
 def test_write_csv_pins_the_parts_and_gives_the_mask_back(tmp_path, monkeypatch):
     # a split write runs part i on CPU i of the caller's mask (wrapping
-    # around), this process's part on the first; afterwards the caller's
-    # mask is what it was, also when a child or this process's part fails
+    # around), this process's part on the first; the caller places each
+    # child after forking it, so a child's part waits (at most about 2 s)
+    # until its mask is one CPU. Afterwards the caller's mask is what it
+    # was, also when a child or this process's part fails
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
     parent = os.getpid()
@@ -584,7 +587,10 @@ def test_write_csv_pins_the_parts_and_gives_the_mask_back(tmp_path, monkeypatch)
     path = tmp_path / "unit.csv"
 
     def write_mask(self, fh):
-        fh.write(f"{sorted(os.sched_getaffinity(0))}\n")
+        deadline = time.monotonic() + 2.0
+        while len(os.sched_getaffinity(0)) > 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        fh.write(f"{sorted(os.sched_getaffinity(0))}\n".encode())
 
     monkeypatch.setattr(_TableRows, "write", write_mask)
     _write_csv(path, "krein-string unit", ["t", "r"], rows)

@@ -7,7 +7,7 @@ from krein_string.floattext import format_block
 
 
 def repr_join(block):
-    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
 
 
 def both_signs(values):
@@ -32,11 +32,15 @@ def test_raw_bit_patterns_match_repr(patterns, cols):
     assert format_block(block) == repr_join(block)
 
 
+RNG = np.random.default_rng(53)
 SWEEPS = {
     "powers of two": with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
     "powers of ten": with_neighbours([float(f"1e{k}") for k in range(-323, 309)]),
     "first subnormals": np.arange(1, 3001, dtype=np.uint64).view(np.float64),
     "integers": np.arange(3001, dtype=np.float64),
+    # integers below 2**53 take Schubfach's digits like every other value
+    "integers below 2**53": RNG.integers(0, 2**53, 20000).astype(np.float64),
+    "integers times 2**k": np.ldexp(RNG.integers(1, 2**20, (200, 1)).astype(np.float64), np.arange(53)).ravel(),
     "notation edges": with_neighbours([1e16, 1e-4]),
     "limits": [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf, np.nan],
 }
@@ -53,13 +57,26 @@ def test_sweep_matches_repr_at_both_signs(name):
 def test_shortest_closest_digits():
     # the one-digit shortening at s >= 10 and the subnormals Java pads
     block = np.array([[5e-324, 1e-323, 0.1, 0.3, 2.0**-1074 * 3, 9007199254740993.0, 1e23]])
-    assert format_block(block) == "5e-324,1e-323,0.1,0.3,1.5e-323,9007199254740992.0,1e+23\n"
+    assert format_block(block) == b"5e-324,1e-323,0.1,0.3,1.5e-323,9007199254740992.0,1e+23\n"
 
 
 def test_layout_of_each_notation():
-    block = np.array([[-0.0, 100.0, -1e15, 1e16, 0.0001, -1.5e-05, 1e-310], [np.nan, -np.inf, np.inf, 0.5, -2.0, 7e22, 12.0]])
-    assert format_block(block) == (
-        "-0.0,100.0,-1000000000000000.0,1e+16,0.0001,-1.5e-05,1e-310\n"
-        "nan,-inf,inf,0.5,-2.0,7e+22,12.0\n"
+    # lone exponent digits (no point) first, in the middle and last; the
+    # longest fixed and exponent fields; nan and -inf ending a row
+    block = np.array(
+        [
+            [-0.0, 100.0, -1e15, 1e16, 0.0001, -1.5e-05, 1e-310],
+            [np.nan, -np.inf, np.inf, 0.5, -2.0, 7e22, 12.0],
+            [5e-324, -0.00012345678901234567, 1e-05, -1.2345678901234567e-308, 3.0, 0.25, 1e16],
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, np.nan],
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, -np.inf],
+        ]
     )
-    assert format_block(np.empty((0, 3))) == ""
+    assert format_block(block) == (
+        b"-0.0,100.0,-1000000000000000.0,1e+16,0.0001,-1.5e-05,1e-310\n"
+        b"nan,-inf,inf,0.5,-2.0,7e+22,12.0\n"
+        b"5e-324,-0.00012345678901234567,1e-05,-1.2345678901234567e-308,3.0,0.25,1e+16\n"
+        b"1.0,2.0,3.0,4.0,5.0,6.0,nan\n"
+        b"1.0,2.0,3.0,4.0,5.0,6.0,-inf\n"
+    )
+    assert format_block(np.empty((0, 3))) == b""
