@@ -17,11 +17,12 @@ M u_tt = A u + (f/l_1, 0, ..) in first-order form; the step is linear, so
 it is applied as one propagator matrix plus three forcing columns, and
 the half-step control values come from a four-point midpoint rule.
 
-Neither hot path makes a temporary the size of the trajectory.  The
-convolution writes into one preallocated output, the array the trajectory
-keeps, and its transforms and end corrections exist for one chunk of
-``_CHUNK_FIELDS`` kernel fields at a time; the oracle steps in place through
-one buffer of ``_DRIVE_STEPS`` + 1 states, allocating nothing per step.
+The convolution makes no temporary the size of the trajectory: it writes
+into one preallocated output, the array the trajectory keeps, and its
+transforms and end corrections exist for one chunk of ``_CHUNK_FIELDS``
+kernel fields at a time.  The oracle keeps no state history: a block scan,
+it holds its (n x 3) forcing and O(sqrt(n)) states besides the positions,
+and its Python-level loops run about 3 sqrt(n) times, not once per step.
 
 (R f)(t) = int_0^t r(t-s) f(s) ds = u_1^f(t); the tests apply R with the
 same discrete convolution, so the two agree to rounding.
@@ -29,6 +30,7 @@ same discrete convolution, so the two agree to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +50,10 @@ _FFT_THRESHOLD = 512
 # transforms then take about 1 MB each, whatever the number of columns.
 _CHUNK_FIELDS = 2**16
 
-# Steps whose RK4 forcing is summed at once: a (steps x 2d) block, not the
-# whole history.
-_DRIVE_STEPS = 1024
+# OpenBLAS runs a dgemm on one thread while m n k is at most 2^18.  A threaded
+# product leaves its threads spinning, which slowed the forked CSV write after
+# it (``case_s_p50`` up 14% in one trial).
+_SERIAL_PRODUCT = 2**18
 
 
 @dataclass(frozen=True)
@@ -315,13 +318,19 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     step applied once to the basis and the forcing direction
     (``rk4_propagator``); no spectral data enters.
 
-    Besides the positions returned, one (``_DRIVE_STEPS`` + 1, 2d) buffer
-    is allocated: a block's forcing fills its rows 1.., and each step
-    overwrites its row with P y + forcing, y the row before (row 0 carries
-    the state from the block before), so a step allocates nothing.
-    ``prop.dot(y, step)`` calls the same BLAS matrix-vector product as
-    ``prop @ y``, to the bit, but writes into a reused vector and skips the
-    ``matmul`` ufunc's dispatch, a large share of a step this small.
+    The n steps run as a two-pass block scan (Blelloch 1990) over blocks
+    of b = ceil(sqrt(n)) steps, the last one padded with zero forcing.
+    Pass 1 gives every block's end state from rest in one product with the
+    b matrices P^(b-1-i) [c0 ch c1], cheap since the forcing spans three
+    directions; a carry s_{k+1} = P^b s_k + e_k gives each block's start;
+    pass 2 steps all blocks at once from their starts, one column each,
+    and writes the positions into the output.  So about 3 sqrt(n)
+    Python-level products replace n.  The sums are grouped otherwise than
+    in one y = P y + forcing per step, which they match to rounding (a
+    tested gap of at most n eps relative to the largest position).  At
+    the benchmark's sizes every product stays within ``_SERIAL_PRODUCT``
+    (pass 2 at d = 23 and n = 10000 is 46 x 49 x 100); pass 1's is cut
+    into row blocks to stay within it.
     """
     grid = f.grid
     if grid.n_steps < 3:
@@ -346,22 +355,45 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     direction[d] = 1.0 / (l1 * mats.masses[0])
     prop, c0, ch, c1 = rk4_propagator(op, dt, direction)
 
-    # rows 1.. of states: a block's forcing f0 c0 + fh ch + f1 c1, stepped
-    # in place into the states it reaches; only the positions u are kept
-    u = np.zeros((grid.n_steps + 1, d))
-    states = np.zeros((_DRIVE_STEPS + 1, 2 * d))
-    step = np.empty(2 * d)
-    for start in range(0, grid.n_steps, _DRIVE_STEPS):
-        steps = slice(start, start + _DRIVE_STEPS)
-        half = f_half[steps]
-        block = states[1 : 1 + len(half)]
-        np.multiply.outer(f.values[:-1][steps], c0, out=block)
-        block += np.multiply.outer(half, ch)
-        block += np.multiply.outer(f.values[1:][steps], c1)
-        for y, row in zip(states, block):
-            np.add(prop.dot(y, step), row, out=row)
-        u[start + 1 : start + 1 + len(block)] = block[:, :d]
-        states[0] = block[-1]
+    # phi_j = (f_j, f_{j+1/2}, f_{j+1}) in blocks of b steps, zero past step n
+    n = grid.n_steps
+    size = 2 * d
+    b = math.isqrt(n - 1) + 1
+    blocks = -(-n // b)
+    phi = np.zeros((blocks, b, 3))
+    phi.reshape(-1, 3)[:n] = np.column_stack([f.values[:-1], f_half, f.values[1:]])
+
+    # pass 1: block k's end state from rest, e_k = sum_i W_i phi_{k,i} with
+    # W_i = P^(b-1-i) F, kept transposed so that one product sums a block
+    weights = np.empty((b, 3, size))
+    weights[-1] = np.vstack([c0, ch, c1])
+    for i in range(b - 1, 0, -1):
+        np.dot(weights[i], prop.T, out=weights[i - 1])
+    flat_phi, flat_weights = phi.reshape(blocks, 3 * b), weights.reshape(3 * b, size)
+    ends = np.empty((blocks, size))
+    rows = max(1, _SERIAL_PRODUCT // (3 * b * size))
+    for k in range(0, blocks, rows):
+        np.dot(flat_phi[k : k + rows], flat_weights, out=ends[k : k + rows])
+
+    # carry: block k starts from s_k, with s_0 = 0 and s_{k+1} = P^b s_k + e_k
+    leap = np.linalg.matrix_power(prop, b)
+    starts = np.zeros((blocks, size))
+    for k in range(1, blocks):
+        np.dot(leap, starts[k - 1], out=starts[k])
+        starts[k] += ends[k - 1]
+
+    # pass 2: every block steps at once, one column each, z <- [P F] z with
+    # the step's forcing in z's last three rows; positions go straight out
+    z = np.vstack([starts.T, np.empty((3, blocks))])
+    other = np.empty_like(z)
+    step = np.hstack([prop, weights[-1].T])
+    u = np.zeros((n + 1, d))
+    for i in range(b):
+        z[size:] = phi[:, i].T
+        np.dot(step, z, out=other[:size])
+        z, other = other, z
+        out = u[1 + i :: b]
+        out[...] = z[:d, : len(out)].T
     u.flags.writeable = False
     return Trajectory(grid=grid, states=u)
 

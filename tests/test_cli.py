@@ -614,20 +614,24 @@ def test_forward_peak_memory(tmp_path):
     # (1.8 MiB); writing its CSV a block at a time keeps the traced peak of
     # this process at about twice that (4.17 MiB measured, writing the first
     # of two parts on 2 CPUs; 4.16 MiB on one), where the whole table as
-    # Python floats and text took 24.9 MiB
+    # Python floats and text took 24.9 MiB.  The RK4 oracle under a gauss
+    # control peaks at 3.97 MiB: its block scan keeps the positions and
+    # O(sqrt(n)) states, where a (10001 x 46) state history would add 3.5 MiB
     rng = np.random.default_rng(24)
     path = tmp_path / "string.txt"
     lengths, masses = rng.uniform(0.2, 1.0, 24).tolist(), rng.uniform(0.2, 1.0, 23).tolist()
     path.write_text(f"lengths={','.join(map(repr, lengths))}\nmasses={','.join(map(repr, masses))}\n")
     argv = ["forward", "--spec", str(path), "--T", "4.0", "--steps", "10000", "--out", str(tmp_path)]
-    tracemalloc.start()
-    try:
-        assert run(*argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 10003
-    assert peak < 6 * 2**20, peak / 2**20
+    ode = ["--control", "gauss:0.3,0.1", "--solver", "ode"]
+    for extra, bound in (([], 6 * 2**20), (ode, 4.5 * 2**20)):
+        tracemalloc.start()
+        try:
+            assert run(*argv, *extra) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 10003
+        assert peak < bound, (extra, peak / 2**20)
 
 
 def test_forward_and_response_columns_are_the_library_arrays(tmp_path, spec_file):
