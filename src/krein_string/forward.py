@@ -5,27 +5,29 @@ v_k and nu_k = sqrt(|lambda_k|), the impulse response
 u^delta(t) = (1/l_1) sum_k sin(nu_k t)/nu_k v_1k v_k (the sum over
 phi^k / omega_k, with no division by v_1k) is one kernel,
 ``_impulse_response``, which takes the sines on the uniform grid by angle
-addition from about 2 sqrt(n) sines and cosines per mode.
-``solve_forward_delta`` returns it,
+addition from about 2 sqrt(n) sines and cosines per mode
+(``_angle_tables``).  ``solve_forward_delta`` returns it,
 ``response_function`` is its first component r(t), and
-``solve_forward_spectral`` convolves it with the control in one batched
-trapezoid convolution (``causal_convolution``: a real FFT product from
-``numpy.fft`` on long grids, exact direct sums on short ones).
+``solve_forward_spectral`` takes its trapezoid Duhamel integral against
+the control as two running sums per mode, from the same tables.
 
 ``solve_forward_ode`` is the independent oracle: classical RK4 on
 M u_tt = A u + (f/l_1, 0, ..) in first-order form; the step is linear, so
 it is applied as one propagator matrix plus three forcing columns, and
 the half-step control values come from a four-point midpoint rule.
 
-The convolution makes no temporary the size of the trajectory: it writes
-into one preallocated output, the array the trajectory keeps, and its
-transforms and end corrections exist for one chunk of ``_CHUNK_FIELDS``
-kernel fields at a time.  The oracle keeps no state history: a block scan,
-it holds its (n x 3) forcing and O(sqrt(n)) states besides the positions,
-and its Python-level loops run about 3 sqrt(n) times, not once per step.
+The spectral solver makes no temporary the size of the trajectory: it
+writes into one preallocated output, the array the trajectory keeps, and
+its per-mode tables and sums exist for one chunk of about
+``_CHUNK_FIELDS`` fields at a time.  The oracle keeps no state history: a
+block scan, it holds its (n x 3) forcing and O(sqrt(n)) states besides the
+positions, and its Python-level loops run about 3 sqrt(n) times, not once
+per step.
 
-(R f)(t) = int_0^t r(t-s) f(s) ds = u_1^f(t); the tests apply R with the
-same discrete convolution, so the two agree to rounding.
+(R f)(t) = int_0^t r(t-s) f(s) ds = u_1^f(t); the tests apply R with
+``causal_convolution`` (a real FFT product from ``numpy.fft`` on long
+grids, exact direct sums on short ones), the same trapezoid rule, so the
+two agree to rounding.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ RK4_LIMIT = 2.8
 
 _FFT_THRESHOLD = 512
 
-# Kernel fields one chunk of ``causal_convolution`` covers: its padded
-# transforms then take about 1 MB each, whatever the number of columns.
+# Fields one chunk covers: kernel fields of ``causal_convolution``, whose
+# padded transforms then take about 1 MB each, and table fields (rows x
+# modes) of the spectral solver's running sums, 0.5 MB a table.
 _CHUNK_FIELDS = 2**16
 
 # OpenBLAS runs a dgemm on one thread while m n k is at most 2^18.  A threaded
@@ -187,6 +190,20 @@ def check_nyquist(data: SpectralData, grid: TimeGrid) -> None:
         )
 
 
+def _angle_tables(nu: np.ndarray, times: np.ndarray):
+    """Angle addition on the uniform grid ``times``: with B = ceil(sqrt(n + 1))
+    and t_{aB+b} = t_{aB} + t_b, returns B, the coarse table
+    [sin(nu t_{aB}), cos(nu t_{aB})] and the fine table
+    [cos(nu t_b), sin(nu t_b)] for b < B, one column per frequency in each
+    half.  sin(nu t_{aB+b}) is the dot product of coarse row a with fine
+    row b, so about 4 sqrt(n) N transcendentals stand in for n N."""
+    block = int(np.ceil(np.sqrt(len(times))))
+    coarse = np.outer(times[::block], nu)
+    fine = np.outer(times[:block], nu)
+    # sin(x + y) is the dot product of [sin x, cos x] with [cos y, sin y]
+    return block, np.hstack([np.sin(coarse), np.cos(coarse)]), np.hstack([np.cos(fine), np.sin(fine)])
+
+
 def _impulse_response(
     data: SpectralData, l1: float, grid: TimeGrid, columns: slice | list[int] = slice(None)
 ) -> np.ndarray:
@@ -194,26 +211,18 @@ def _impulse_response(
     the components that ``columns`` selects (an index list or a slice of the
     N-1 components; all by default).
 
-    Angle addition on the uniform grid: with B = ceil(sqrt(n + 1)) and
-    t_{aB+b} = t_{aB} + t_b, sin(nu t) = sin(nu t_{aB}) cos(nu t_b) +
-    cos(nu t_{aB}) sin(nu t_b).  Only the coarse (t_{aB}) and fine (t_b)
-    tables are evaluated, about 4 sqrt(n) N transcendentals instead of
-    n N; each component folds its coefficients into the coarse tables and
-    contracts them with the fine ones, so no (n x N) sine table is built,
-    and a column does not depend on which others are selected.  The result
-    moves from the direct sum by rounding only.  It is returned
-    read-only, so a ``Trajectory`` keeps it without a copy.
+    The sines come by angle addition from ``_angle_tables``: each component
+    folds its coefficients into the coarse table and contracts it with the
+    fine one, so no (n x N) sine table is built, and a column does not
+    depend on which others are selected.  The result moves from the direct
+    sum by rounding only.  It is returned read-only, so a ``Trajectory``
+    keeps it without a copy.
     """
     nu = data.frequencies
     modes = data.modes
     coefficients = modes[:, columns] * (modes[:, :1] / (l1 * nu[:, None]))
     times = grid.times
-    block = int(np.ceil(np.sqrt(len(times))))
-    coarse = np.outer(times[::block], nu)
-    fine = np.outer(times[:block], nu)
-    # sin(x + y) is the dot product of [sin x, cos x] with [cos y, sin y]
-    coarse = np.hstack([np.sin(coarse), np.cos(coarse)])
-    fine = np.hstack([np.cos(fine), np.sin(fine)])
+    block, coarse, fine = _angle_tables(nu, times)
     # einsum, not @: a threaded BLAS product leaves its threads spinning, which
     # slowed the CSV writing after it by up to 60 ms on a 2-CPU host; one
     # 2-index product per component, since a 3-index einsum loops naively
@@ -230,7 +239,20 @@ def solve_forward_spectral(
     f: Waveform,
     l1: float,
 ) -> Trajectory:
-    """Trajectory by modal expansion: the impulse response convolved with f.
+    """Trajectory by modal expansion: the trapezoid Duhamel sum of the
+    impulse response h(t) = sum_k c_k sin(nu_k t), c_k = v_1k v_k / (l_1 nu_k),
+    against f, as running sums per mode.
+
+    sin nu(t - s) = sin nu t cos nu s - cos nu t sin nu s splits the sum
+    dt [sum_{i<=j} h(t_j - t_i) f_i - h(t_j) f_0 / 2] (h(0) = 0) into
+    u(t_j) = dt sum_k c_k [sin nu_k t_j (C_k(j) - f_0/2) - cos nu_k t_j S_k(j)],
+    with C_k(j) and S_k(j) the prefix sums of cos(nu_k t_i) f_i and
+    sin(nu_k t_i) f_i over i <= j, so row j reads no control value past t_j.
+    The tables come from ``_angle_tables`` a chunk of whole coarse blocks
+    (about ``_CHUNK_FIELDS`` fields) at a time, with the sums carried into
+    each chunk's first row, and every product stays within
+    ``_SERIAL_PRODUCT``.  The fresh output is frozen, so the ``Trajectory``
+    keeps it without a copy.
 
     ``mats`` is unused but stays the first positional argument: the
     benchmark's tracer reads ``data`` and ``f.grid`` as its second and
@@ -238,7 +260,40 @@ def solve_forward_spectral(
     """
     grid = f.grid
     check_nyquist(data, grid)
-    states = causal_convolution(_impulse_response(data, l1, grid), f.values, grid.dt)
+    nu = data.frequencies
+    modes = data.modes
+    k = len(nu)
+    coefficients = grid.dt * modes * (modes[:, :1] / (l1 * nu[:, None]))
+    values = f.values
+    times = grid.times
+    block, coarse, fine = _angle_tables(nu, times)
+    sin_coarse, cos_coarse = coarse[:, None, :k], coarse[:, None, k:]
+    cos_fine, sin_fine = fine[:, :k], fine[:, k:]
+    width = max(1, _CHUNK_FIELDS // (block * k))
+    product_rows = max(1, _SERIAL_PRODUCT // (k * coefficients.shape[1]))
+    states = np.empty((len(times), coefficients.shape[1]))
+    carried = np.zeros((2, k))
+    for a in range(0, len(coarse), width):
+        start = a * block
+        rows = min(len(times), start + width * block) - start
+        sc, cc = sin_coarse[a : a + width], cos_coarse[a : a + width]
+        sin = (sc * cos_fine + cc * sin_fine).reshape(-1, k)[:rows]
+        cos = (cc * cos_fine - sc * sin_fine).reshape(-1, k)[:rows]
+        column = values[start : start + rows, None]
+        cos_sum, sin_sum = cos * column, sin * column
+        cos_sum[0] += carried[0]
+        sin_sum[0] += carried[1]
+        np.cumsum(cos_sum, axis=0, out=cos_sum)
+        np.cumsum(sin_sum, axis=0, out=sin_sum)
+        carried[0], carried[1] = cos_sum[-1], sin_sum[-1]
+        # sin nu t (C - f_0/2) - cos nu t S, in place
+        cos_sum -= 0.5 * values[0]
+        cos_sum *= sin
+        sin_sum *= cos
+        cos_sum -= sin_sum
+        for r in range(0, rows, product_rows):
+            part = cos_sum[r : r + product_rows]
+            np.dot(part, coefficients, out=states[start + r : start + r + len(part)])
     states[0, :] = 0.0
     states.flags.writeable = False
     return Trajectory(grid=grid, states=states)
@@ -284,13 +339,14 @@ def rk4_step(
 def rk4_propagator(op: np.ndarray, dt: float, direction: np.ndarray):
     """``rk4_step`` as a matrix: (P, c0, ch, c1) with
     rk4_step(op, dt, y, f0 e, fh e, f1 e) = P y + f0 c0 + fh ch + f1 c1
-    for the forcing direction e, since the step is linear in all four."""
-    zero = np.zeros_like(direction)
-    basis = np.eye(len(direction))
-    prop = np.column_stack([rk4_step(op, dt, col, zero, zero, zero) for col in basis])
-    c0 = rk4_step(op, dt, zero, direction, zero, zero)
-    ch = rk4_step(op, dt, zero, zero, direction, zero)
-    c1 = rk4_step(op, dt, zero, zero, zero, direction)
+    for the forcing direction e, since the step is linear in all four.
+    The step acts on matrices column by column, so P is one step of the
+    identity and [c0 ch c1] one step from rest under three forcing columns."""
+    size = len(direction)
+    prop = rk4_step(op, dt, np.eye(size), 0.0, 0.0, 0.0)
+    # forcing[i] holds e in column i and zeros elsewhere
+    forcing = np.eye(3)[:, None, :] * direction[:, None]
+    c0, ch, c1 = rk4_step(op, dt, np.zeros((size, 3)), *forcing).T
     return prop, c0, ch, c1
 
 

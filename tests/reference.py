@@ -10,8 +10,11 @@ the truncated solve of C f = g through the factorization's Ritz pairs,
 which recovery does not need: it works in the coordinates of the range.
 The forward solvers' hot paths are held to their plain forms: the trapezoid
 convolution as one transform of the whole kernel, and the RK4 oracle as one
-``prop @ y + forcing`` per step.
+``prop @ y + forcing`` per step; so is the uniform chain's image sum, as the
+loop that evaluates every pair until one is negligible.
 """
+
+import itertools
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from krein_string.forward import (
     causal_convolution,
     rk4_propagator,
 )
+from krein_string import uniform
 from krein_string.model import SystemMatrices
 from krein_string.spectral import SpectralData
 
@@ -211,3 +215,20 @@ def check_integral_equation(spec: StringSpec, traj: Trajectory, f: Waveform) -> 
         rhs -= 2.0 * causal_convolution(t, spatial, grid.dt)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def plain_image_sum(n: int, j: int, times: np.ndarray) -> np.ndarray:
+    """``uniform.image_sum`` without its a-priori bound: pairs m = +-1, +-2, ...
+    are evaluated, through the same ``bessel_j_grid``, and added until the
+    next pair is below 1e-16 at every time."""
+    times = np.asarray(times, dtype=float)
+    x = 2.0 * n * times
+    total = uniform.delta_solution(n, j, times)
+    for m in itertools.count(1):
+        above, below = j + 2 * m * n, 2 * m * n - j
+        pair = 2.0 / times * (
+            above * uniform.bessel_j_grid(2 * above, x) - below * uniform.bessel_j_grid(2 * below, x)
+        )
+        if np.max(np.abs(pair)) < 1e-16:
+            return total
+        total += pair

@@ -117,6 +117,16 @@ def test_rejects_bad_arguments():
         bessel_j_grid(-2, np.array([1.0]))
     with pytest.raises(ValueError):
         bessel_j_ladder(-1, 1.0)
+    # NaN fails "x < 0" too; jv returns NaN for it and 0 at infinity
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j(2, bad)
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j_grid(2, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j_grid(5, np.array([bad]))
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j_ladder(3, bad)
 
 
 def test_wrappers_against_extended_precision():
@@ -139,10 +149,20 @@ def test_wrappers_against_extended_precision():
         assert np.max(np.abs(scalar - ref)) < 1e-13
         assert np.max(np.abs(grid - ref)) < 1e-13
 
-        # the order-2 pairing grid (ds = 0.05 on (0, 720], every 29th point)
-        s = np.linspace(0.0, 720.0, 14401)[1::29]
+        # the order-2 pairing grid, by J_2's recurrence: ds = 0.05 up to the
+        # largest truncation point the sweeps reach (prop 3 at N = 256), every
+        # 29th point; within 2.1e-15 of the reference when measured
+        s_max = 20.0 * 1.5**10
+        s = np.linspace(0.0, s_max, int(np.ceil(s_max / 0.05)) + 1)[1::29]
         ref = np.array([extended(2, x) for x in s])
         assert np.max(np.abs(bessel_j_grid(2, s) - ref)) < 1e-13
+        # below 0.1 J_2 is jv's, where the recurrence's two terms cancel (16
+        # relative at x = 1e-8); held relative to J_2, since J_2(0) = 0 exactly,
+        # and within 5.4e-15 when measured
+        s = np.geomspace(1e-8, 0.1, 200)
+        ref = np.array([extended(2, x) for x in s])
+        assert np.max(np.abs(bessel_j_grid(2, s) - ref) / ref) < 1e-13
+        assert bessel_j_grid(2, [0.0])[0] == 0.0
 
         # whole ladders to order 512, as the sine pairings and prop 1 use them
         for x in (76.8, 153.6, 512.0):

@@ -14,9 +14,10 @@ from krein_string import (
     uniform_eigen,
 )
 from krein_string.cli import main
-from krein_string.uniform import constant_one, gaussian_bump
+from krein_string import uniform
+from krein_string.uniform import constant_one, gaussian_bump, image_sum
 
-from reference import chebyshev_u, uniform_spec
+from reference import chebyshev_u, plain_image_sum, uniform_spec
 
 
 def test_uniform_spec_values():
@@ -273,3 +274,53 @@ def test_bessel_calls_go_through_module_names(monkeypatch):
         calls.clear()
         run()
         assert calls and set(calls) == {used}
+
+
+def test_image_sum_skips_only_the_pair_that_stops_it(monkeypatch):
+    # the a-priori bound on |J_nu| stops the sum before the pair the plain
+    # loop evaluates and then drops, so the values are those of the loop, bit
+    # for bit, with fewer Bessel calls; on prop 1's grids (t up to 1, 4N
+    # steps) and up to t = 3
+    calls = []
+    grid = uniform.bessel_j_grid
+
+    def counted(*args):
+        calls.append(args[0])
+        return grid(*args)
+
+    monkeypatch.setattr(uniform, "bessel_j_grid", counted)
+    saved = 0
+    for n in (8, 16, 32, 64, 128, 256):
+        for horizon in (1.0, 3.0):
+            times = np.linspace(0.0, horizon, max(4 * n, 64) + 1)[1:]
+            for j in sorted({1, n // 2, n - 1}):
+                calls.clear()
+                got = image_sum(n, j, times)
+                used = len(calls)
+                calls.clear()
+                assert np.array_equal(got, plain_image_sum(n, j, times)), (n, horizon, j)
+                saved += len(calls) - used
+    assert saved > 0
+
+
+def test_closed_forms_refuse_non_finite_times():
+    # NaN passes a "t <= 0" check, and a NaN pair never falls below the image
+    # sum's stop; image_sum calls delta_solution first, so this cannot hang
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            image_sum(8, 1, np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            delta_solution(8, 1, bad)
+
+
+def test_pairings_against_jv(monkeypatch):
+    # J_2 by its recurrence against scipy's general-order jv in the pairings:
+    # the response pairing moved by at most 7.8e-16 at N = 8..256, and the
+    # corrected response multiplies that by N
+    xi = gaussian_bump(0.0, 0.3)
+    ns = (8, 16, 32, 64, 128, 256)
+    own = [(pair_response(n, xi).value, pair_corrected_response(n, xi).value) for n in ns]
+    monkeypatch.setattr(uniform, "bessel_j_grid", lambda n, xs: scipy.special.jv(n, np.asarray(xs, dtype=float)))
+    for n, (response, corrected) in zip(ns, own):
+        assert abs(response - pair_response(n, xi).value) <= 2e-15, n
+        assert abs(corrected - pair_corrected_response(n, xi).value) <= n * 2e-15, n
