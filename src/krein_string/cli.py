@@ -49,7 +49,7 @@ from .forward import (
     solve_forward_spectral,
 )
 from .floattext import format_block
-from .inverse import recover_string
+from .inverse import DEFAULT_THRESHOLD, recover_string
 from .model import build_matrices, read_spec_file
 from .spectral import compute_spectral_data
 
@@ -363,11 +363,11 @@ def _cmd_uniform_sweep(args, echo: str) -> int:
     ns = [int(tok) for tok in args.N.split(",") if tok.strip()]
     if not ns or min(ns) < 2:
         raise ValueError(f"--N needs segment counts of at least 2, got {args.N!r}")
-    rows = []
     if args.prop == 1:
         # impulse components j = 1 and n // 2 against the spectral sum, worst
         # case over j and t; only those two components are summed, and the
         # closed form is the finite chain's image sum
+        target, values = 0.0, []
         for n in ns:
             data = uniform.uniform_eigen(n)
             grid = TimeGrid(horizon=1.0, n_steps=max(4 * n, 64))
@@ -378,10 +378,10 @@ def _cmd_uniform_sweep(args, echo: str) -> int:
             for j, column in zip(components, states.T):
                 closed = uniform.image_sum(n, j, grid.times[1:])
                 worst = max(worst, float(np.max(np.abs(closed - column[1:]))))
-            rows.append((n, 0.0, worst, worst))
+            values.append(worst)
     elif args.prop in (2, 3):
         xi = uniform.parse_test_function(args.xi)
-        if args.xi.partition(":")[0] not in ("gauss", "rcos"):
+        if xi.tail_sup(np.inf) > 0.0:
             # the pairing's tail bound is sup|xi| times int |J_2(s)|/s, which
             # never falls below tol for a test function that does not decay
             raise ValueError(
@@ -389,22 +389,21 @@ def _cmd_uniform_sweep(args, echo: str) -> int:
                 f"t = 0, gauss or rcos; got {args.xi!r}"
             )
         if args.prop == 2:
-            target = float(xi(0.0))
-            for n in ns:
-                res = uniform.pair_response(n, xi)
-                rows.append((n, target, res.value, abs(res.value - target)))
+            target, pair = float(xi(0.0)), uniform.pair_response
         else:
-            target = float(xi.derivative(0.0))
-            for n in ns:
-                res = uniform.pair_corrected_response(n, xi)
-                rows.append((n, target, res.value, abs(res.value - target)))
+            target, pair = float(xi.derivative(0.0)), uniform.pair_corrected_response
+        values = [pair(n, xi).value for n in ns]
     elif args.prop == 4:
-        # the pairings check t first: sin(k t) at t = inf would warn
+        # the ladder's argument is 2 N t
+        if not (0.0 < args.t < np.inf and np.isfinite(2.0 * max(ns) * args.t)):
+            raise ValueError(
+                f"--t must be finite and positive, with 2 N t finite for every --N; got {args.t!r}"
+            )
         values = [uniform.pair_solution_with_sine(n, args.t, args.k) for n in ns]
         target = float(np.sin(args.k * args.t))
-        rows.extend((n, target, value, abs(value - target)) for n, value in zip(ns, values))
     else:
         raise ValueError(f"unknown proposition {args.prop}")
+    rows = [(n, target, value, abs(value - target)) for n, value in zip(ns, values)]
     _write_csv(
         Path(args.out) / f"uniform_prop{args.prop}.csv",
         echo,
@@ -453,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--response", required=True)
     p.add_argument("--l1", type=float, required=True, help="first segment length: picks the scale")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--threshold", type=float, default=1e-8)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     add_common(p)
     p.set_defaults(func=_cmd_invert)
 
@@ -464,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oversample", type=int, default=8)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0, help="seed of the --noise draw")
-    p.add_argument("--threshold", type=float, default=1e-8)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     add_common(p)
     p.set_defaults(func=_cmd_roundtrip)
 

@@ -48,9 +48,8 @@ RK4_LIMIT = 2.8
 
 _FFT_THRESHOLD = 512
 
-# Fields one chunk covers: kernel fields of ``causal_convolution``, whose
-# padded transforms then take about 1 MB each, and table fields (rows x
-# modes) of the spectral solver's running sums, 0.5 MB a table.
+# Table fields (rows x modes) one chunk of the spectral solver's running
+# sums covers, 0.5 MB a table.
 _CHUNK_FIELDS = 2**16
 
 # OpenBLAS runs a dgemm on one thread while m n k is at most 2^18.  A threaded
@@ -134,42 +133,31 @@ def causal_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.
     A 2-D kernel holds one kernel per column; all columns are convolved
     with the same values along axis 0 (a 1-D kernel is one such column).
     Above ``_FFT_THRESHOLD`` samples the linear convolution is one
-    zero-padded real FFT product (what ``scipy.signal.fftconvolve``
-    computes, to the bit); at or below it each column is an exact direct sum
-    (``np.convolve``), so sample j never sees a value past t_j, not even
-    through rounding.
-
-    The columns are convolved ``_CHUNK_FIELDS`` kernel fields (at least one
-    column) at a time into one preallocated output, the array returned: the
-    padded transforms, their product and the end corrections exist for one
-    chunk only.  The corrections and the ``dt`` scale are applied in place,
-    ``full -= a; full -= b; full *= dt``, which rounds exactly as
-    ``dt * (full - a - b)``, and no column's transform depends on another,
-    so the bits are those of one transform of the whole kernel.
+    zero-padded real FFT product of the whole kernel (what
+    ``scipy.signal.fftconvolve`` computes, to the bit); at or below it each
+    column is an exact direct sum (``np.convolve``), so sample j never sees
+    a value past t_j, not even through rounding.  No solver calls it: the
+    tests apply R f with it.
     """
     kernel = np.asarray(kernel, dtype=float)
     values = np.asarray(values, dtype=float)
-    single = kernel.ndim == 1
-    if single:
-        kernel = kernel[:, None]
+    column = values[:, None] if kernel.ndim == 2 else values
     n = len(kernel)
-    column = values[:, None]
-    size = _next_fast_len(2 * n - 1) if n > _FFT_THRESHOLD else 0
-    spectrum = np.fft.rfft(column, size, axis=0) if size else None
-    out = np.empty(kernel.shape)
-    width = max(1, _CHUNK_FIELDS // n)
-    for start in range(0, kernel.shape[1], width):
-        chunk = slice(start, start + width)
-        part = kernel[:, chunk]
-        if size:
-            full = np.fft.irfft(np.fft.rfft(part, size, axis=0) * spectrum, size, axis=0)[:n]
-        else:
-            full = np.column_stack([np.convolve(c, values)[:n] for c in part.T])
-        full -= 0.5 * part * values[0]
-        full -= 0.5 * part[0] * column
-        full *= dt
-        out[:, chunk] = full
-    return out[:, 0] if single else out
+    if n > _FFT_THRESHOLD:
+        size = _next_fast_len(2 * n - 1)
+        product = np.fft.rfft(kernel, size, axis=0) * np.fft.rfft(column, size, axis=0)
+        full = np.fft.irfft(product, size, axis=0)[:n]
+    else:
+        sums = [np.convolve(c, values)[:n] for c in kernel.reshape(n, -1).T]
+        full = np.column_stack(sums).reshape(kernel.shape)
+    return dt * (full - 0.5 * kernel * column[0] - 0.5 * kernel[0] * column)
+
+
+def _serial_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b in row blocks of a, each product within ``_SERIAL_PRODUCT``."""
+    rows = max(1, _SERIAL_PRODUCT // (a.shape[1] * b.shape[1]))
+    for r in range(0, len(a), rows):
+        np.dot(a[r : r + rows], b, out=out[r : r + rows])
 
 
 def check_nyquist(data: SpectralData, grid: TimeGrid) -> None:
@@ -270,7 +258,6 @@ def solve_forward_spectral(
     sin_coarse, cos_coarse = coarse[:, None, :k], coarse[:, None, k:]
     cos_fine, sin_fine = fine[:, :k], fine[:, k:]
     width = max(1, _CHUNK_FIELDS // (block * k))
-    product_rows = max(1, _SERIAL_PRODUCT // (k * coefficients.shape[1]))
     states = np.empty((len(times), coefficients.shape[1]))
     carried = np.zeros((2, k))
     for a in range(0, len(coarse), width):
@@ -291,9 +278,7 @@ def solve_forward_spectral(
         cos_sum *= sin
         sin_sum *= cos
         cos_sum -= sin_sum
-        for r in range(0, rows, product_rows):
-            part = cos_sum[r : r + product_rows]
-            np.dot(part, coefficients, out=states[start + r : start + r + len(part)])
+        _serial_dot(cos_sum, coefficients, states[start : start + rows])
     states[0, :] = 0.0
     states.flags.writeable = False
     return Trajectory(grid=grid, states=states)
@@ -385,8 +370,8 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     in one y = P y + forcing per step, which they match to rounding (a
     tested gap of at most n eps relative to the largest position).  At
     the benchmark's sizes every product stays within ``_SERIAL_PRODUCT``
-    (pass 2 at d = 23 and n = 10000 is 46 x 49 x 100); pass 1's is cut
-    into row blocks to stay within it.
+    (pass 2 at d = 23 and n = 10000 is 46 x 49 x 100); pass 1's goes
+    through ``_serial_dot`` to stay within it.
     """
     grid = f.grid
     if grid.n_steps < 3:
@@ -427,9 +412,7 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
         np.dot(weights[i], prop.T, out=weights[i - 1])
     flat_phi, flat_weights = phi.reshape(blocks, 3 * b), weights.reshape(3 * b, size)
     ends = np.empty((blocks, size))
-    rows = max(1, _SERIAL_PRODUCT // (3 * b * size))
-    for k in range(0, blocks, rows):
-        np.dot(flat_phi[k : k + rows], flat_weights, out=ends[k : k + rows])
+    _serial_dot(flat_phi, flat_weights, ends)
 
     # carry: block k starts from s_k, with s_0 = 0 and s_{k+1} = P^b s_k + e_k
     leap = np.linalg.matrix_power(prop, b)

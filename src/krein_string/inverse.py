@@ -44,6 +44,8 @@ from .forward import TimeGrid, Waveform, _next_fast_len
 from .model import _as_readonly
 
 A_DIVISION_GUARD = 1e-10
+# Default cut: singular values below DEFAULT_THRESHOLD * sigma_max are dropped.
+DEFAULT_THRESHOLD = 1e-8
 # Largest relative part of r(T - t) outside the connector's range (step 1's
 # Krein solve residual) before recovery fails.
 MAX_RESIDUAL = 5e-2
@@ -214,7 +216,7 @@ class ConnectorFactorization:
     none is refused.
     """
 
-    def __init__(self, connector: DiscretizedConnector, threshold: float = 1e-8):
+    def __init__(self, connector: DiscretizedConnector, threshold: float = DEFAULT_THRESHOLD):
         self._sqrt_w = np.sqrt(connector.quad_weights)
         vals, vecs = self._ritz_pairs(connector, threshold)
         order = np.argsort(np.abs(vals))[::-1]
@@ -366,7 +368,7 @@ def recover_string(
     r: Waveform,
     l1: float,
     grid: TimeGrid,
-    threshold: float = 1e-8,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> RecoveryResult:
     """Full reconstruction from the response on [0, 2T].
 

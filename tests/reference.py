@@ -8,10 +8,11 @@ recurrence, the uniform string that the closed forms are checked on, and
 the connector's action C f on a vector, its trapezoid inner product, and
 the truncated solve of C f = g through the factorization's Ritz pairs,
 which recovery does not need: it works in the coordinates of the range.
-The forward solvers' hot paths are held to their plain forms: the trapezoid
-convolution as one transform of the whole kernel, and the RK4 oracle as one
-``prop @ y + forcing`` per step; so is the uniform chain's image sum, as the
-loop that evaluates every pair until one is negligible.
+The forward solvers' hot paths are held to their plain forms: the running
+modal sums to ``forward.causal_convolution`` of the impulse response, and
+the RK4 oracle to one ``prop @ y + forcing`` per step; so is the uniform
+chain's image sum, as the loop that evaluates every pair until one is
+negligible.
 """
 
 import itertools
@@ -21,9 +22,7 @@ import numpy as np
 from krein_string import StringSpec, TimeGrid, Trajectory, Waveform
 from krein_string.errors import GridError
 from krein_string.forward import (
-    _FFT_THRESHOLD,
     _midpoint_values,
-    _next_fast_len,
     causal_convolution,
     rk4_propagator,
 )
@@ -125,24 +124,6 @@ def truncated_solve(fact, rhs: np.ndarray) -> np.ndarray:
     basis = fact._vecs[:, : fact.rank]
     coeffs = (basis.T @ (fact._sqrt_w * rhs)) / fact._vals[: fact.rank]
     return (basis @ coeffs) / fact._sqrt_w
-
-
-def one_shot_convolution(kernel: np.ndarray, values: np.ndarray, dt: float) -> np.ndarray:
-    """``causal_convolution`` with every column transformed at once (one
-    direct sum per column at or below ``_FFT_THRESHOLD``) and the end
-    corrections applied out of place."""
-    if kernel.ndim == 2:
-        values = values[:, None]
-    n = len(kernel)
-    if n > _FFT_THRESHOLD:
-        size = _next_fast_len(2 * n - 1)
-        product = np.fft.rfft(kernel, size, axis=0) * np.fft.rfft(values, size, axis=0)
-        full = np.fft.irfft(product, size, axis=0)[:n]
-    elif kernel.ndim == 2:
-        full = np.column_stack([np.convolve(column, values[:, 0])[:n] for column in kernel.T])
-    else:
-        full = np.convolve(kernel, values)[:n]
-    return dt * (full - 0.5 * kernel * values[0] - 0.5 * kernel[0] * values)
 
 
 def stepped_oracle(mats: SystemMatrices, f: Waveform, l1: float) -> np.ndarray:

@@ -384,6 +384,20 @@ def test_an_overflowing_horizon_is_a_coarse_grid(tmp_path, spec_file, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t", ["1e308", "-1"])
+def test_sweep_time_refusal_names_t(t, tmp_path, capsys, recwarn):
+    # 1e308 is finite, but the ladder's argument 2 N t overflows at N = 8;
+    # both are refused by the CLI, naming --t, before any file is written
+    out = tmp_path / "out"
+    assert run("uniform-sweep", "--prop", "4", "--N", "8", f"--t={t}", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error_code=2 detail=--t must be finite and positive, with 2 N t finite "
+        f"for every --N; got {float(t)!r}\n"
+    )
+    assert not out.exists()
+    assert [str(w.message) for w in recwarn] == []
+
+
 @pytest.mark.parametrize("horizon, need", [("2.5", 16), ("1.0", 7), ("40", 243)])
 def test_coarse_grid_names_the_smallest_step_count_that_passes(
     horizon, need, tmp_path, spec_file, capsys

@@ -22,7 +22,6 @@ from krein_string import forward
 from krein_string.bessel import bessel_j_grid
 from krein_string.forward import (
     _CHUNK_FIELDS,
-    _FFT_THRESHOLD,
     Trajectory,
     _impulse_response,
     _midpoint_values,
@@ -44,7 +43,6 @@ from reference import (
     apply_response_operator,
     check_integral_equation,
     continuous_solution,
-    one_shot_convolution,
     stepped_oracle,
     uniform_spec,
 )
@@ -443,20 +441,31 @@ def test_fft_path_is_fftconvolve(rng):
             assert np.array_equal(causal_convolution(kernel, values, dt), expected)
 
 
-def test_chunked_convolution_is_the_one_shot_formula(rng):
-    # a kernel is convolved _CHUNK_FIELDS fields at a time into one output;
-    # over several chunks, on the FFT path and the direct path, the bits are
-    # those of one transform (or one direct sum per column) of the whole
-    # kernel, and a 1-D kernel's those of its one-column path
-    dt = 0.01
-    n_fft, n_direct = 10001, _FFT_THRESHOLD
-    for shape in ((n_fft, 23), (n_direct + 1, 300), (n_direct, 300), (n_fft,), (n_direct,)):
-        n = shape[0]
-        assert len(shape) == 1 or shape[1] > 2 * (_CHUNK_FIELDS // n)
-        kernel = rng.standard_normal(shape)
-        values = rng.standard_normal(n)
-        expected = one_shot_convolution(kernel, values, dt)
-        assert np.array_equal(causal_convolution(kernel, values, dt), expected), shape
+def test_every_dot_product_stays_serial(monkeypatch):
+    # OpenBLAS runs a dgemm on one thread while m n k <= _SERIAL_PRODUCT;
+    # every np.dot of both solvers at 24 segments and 10000 steps stays
+    # within it, the spectral solver's and the oracle's pass 1 through
+    # _serial_dot's row blocks
+    sizes = []
+    dot = np.dot
+
+    def recording(a, b, out=None):
+        sizes.append(a.size * (b.shape[1] if b.ndim == 2 else 1))
+        return dot(a, b, out=out)
+
+    spec = random_spec(np.random.default_rng(24), 24, 0.2, 1.0)
+    mats = build_matrices(spec)
+    data = compute_spectral_data(mats)
+    l1 = float(spec.lengths[0])
+    grid = TimeGrid(4.0, 10000)
+    f = Waveform(grid, parse_test_function("gauss:0.3,0.1")(grid.times))
+    monkeypatch.setattr(np, "dot", recording)
+    solve_forward_spectral(mats, data, f, l1)
+    spectral_calls = len(sizes)
+    solve_forward_ode(mats, f, l1)
+    monkeypatch.undo()
+    assert spectral_calls > 1 and len(sizes) > spectral_calls + 100
+    assert max(sizes) <= forward._SERIAL_PRODUCT
 
 
 def test_spectral_solve_peak_memory():
