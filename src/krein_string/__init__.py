@@ -40,9 +40,11 @@ from .inverse import (
     build_connector,
     recover_string,
 )
-from .bessel import bessel_j, bessel_j_grid, bessel_j_ladder
 from .uniform import (
     TestFunction,
+    bessel_j,
+    bessel_j_grid,
+    bessel_j_ladder,
     delta_solution,
     pair_corrected_response,
     pair_response,

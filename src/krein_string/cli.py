@@ -41,7 +41,6 @@ from .forward import (
     TimeGrid,
     Waveform,
     _impulse_response,
-    check_nyquist,
     mollified_delta,
     response_function,
     solve_forward_delta,
@@ -371,7 +370,6 @@ def _cmd_uniform_sweep(args, echo: str) -> int:
         for n in ns:
             data = uniform.uniform_eigen(n)
             grid = TimeGrid(horizon=1.0, n_steps=max(4 * n, 64))
-            check_nyquist(data, grid)
             components = (1, n // 2)
             states = _impulse_response(data, 1.0 / n, grid, [j - 1 for j in components])
             worst = 0.0
@@ -399,6 +397,8 @@ def _cmd_uniform_sweep(args, echo: str) -> int:
             raise ValueError(
                 f"--t must be finite and positive, with 2 N t finite for every --N; got {args.t!r}"
             )
+        if args.k < 1:
+            raise ValueError(f"--k must be a positive integer, got {args.k!r}")
         values = [uniform.pair_solution_with_sine(n, args.t, args.k) for n in ns]
         target = float(np.sin(args.k * args.t))
     else:

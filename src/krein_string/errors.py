@@ -19,7 +19,8 @@ class GridError(KreinStringError, ValueError):
 
 
 class StabilityError(KreinStringError, RuntimeError):
-    """Time step too coarse for the stiffest mode (Nyquist or RK4 bound)."""
+    """Time step too coarse for the stiffest mode (Nyquist or RK4 bound), or
+    a modal phase nu_max T that overflows."""
 
 
 class RankError(KreinStringError, RuntimeError):

@@ -184,7 +184,15 @@ def _angle_tables(nu: np.ndarray, times: np.ndarray):
     [sin(nu t_{aB}), cos(nu t_{aB})] and the fine table
     [cos(nu t_b), sin(nu t_b)] for b < B, one column per frequency in each
     half.  sin(nu t_{aB+b}) is the dot product of coarse row a with fine
-    row b, so about 4 sqrt(n) N transcendentals stand in for n N."""
+    row b, so about 4 sqrt(n) N transcendentals stand in for n N.
+    ``StabilityError`` if the largest phase nu_max t_n overflows, whose
+    sine would be NaN."""
+    # in Python floats, which overflow to inf without a warning
+    nu_max, horizon = float(np.max(nu)), float(times[-1])
+    if not math.isfinite(nu_max * horizon):
+        raise StabilityError(
+            f"modal phase overflows: sqrt(|lambda_max|)*T = {nu_max:.3g} * {horizon:.3g} is not finite"
+        )
     block = int(np.ceil(np.sqrt(len(times))))
     coarse = np.outer(times[::block], nu)
     fine = np.outer(times[:block], nu)

@@ -232,7 +232,9 @@ class ConnectorFactorization:
 
         The basis, its image and the projection basis.T @ image grow in
         place, in storage that doubles when it is full; each pass projects
-        only its new block, and the stop test needs only the Ritz values."""
+        only its new block, into the lower triangle, which is all that
+        ``eigvalsh`` and ``eigh`` read.  The stop test needs only the Ritz
+        values."""
         size = len(self._sqrt_w)
         sqrt_w = self._sqrt_w[:, None]
         floor = threshold / 10.0
@@ -251,7 +253,6 @@ class ConnectorFactorization:
             weighted = sqrt_w * basis[:, start:width]
             image[:, start:width] = sqrt_w * connector._kernel_product(weighted)
             projected[start:width, :width] = basis[:, start:width].T @ image[:, :width]
-            projected[:start, start:width] = projected[start:width, :start].T
             if width >= 6 * SKETCH_BLOCK or width == size:
                 magnitude = np.abs(np.linalg.eigvalsh(projected[:width, :width]))
                 top = magnitude.max()

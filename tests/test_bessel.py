@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from krein_string.bessel import bessel_j, bessel_j_grid, bessel_j_ladder
+from krein_string.uniform import bessel_j, bessel_j_grid, bessel_j_ladder
 
 
 def test_values_at_zero():

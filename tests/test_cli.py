@@ -187,6 +187,18 @@ def test_invert_rejects_a_response_not_starting_at_zero(tmp_path, small_response
     assert not (tmp_path / "out").exists()
 
 
+def test_invert_summary_line_matches_recovery_csv(tmp_path, small_response, capsys):
+    out = tmp_path / "out"
+    assert invert_small(small_response(), out) == 0
+    fields = dict(field.split("=") for field in capsys.readouterr().out.split())
+    assert list(fields) == ["rank", "endpoint_gap", "last_length"]
+    lines = (out / "recovery.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line for line in lines if not line.startswith(("#", "k,"))]
+    assert int(fields["rank"]) == len(rows) == 1
+    assert lines[-1] == f"# l_N={fields['last_length']}"
+    assert np.isfinite(float(fields["endpoint_gap"]))
+
+
 @pytest.mark.parametrize("row", ["0.0,0.0,1", "0.0"])
 def test_invert_names_the_line_of_a_row_without_two_fields(tmp_path, small_response, capsys, row):
     path = Path(small_response())
@@ -256,6 +268,8 @@ def test_too_few_steps_is_a_config_error(tmp_path, spec_file, small_response, ca
         ("roundtrip", "--oversample", "0", "--oversample must be at least 1"),
         ("roundtrip", "--seed", "-1", "--seed must be non-negative"),
         ("forward", "--control", "delta:abc", "--control delta width must be finite and positive"),
+        ("uniform-sweep", "--k", "0", "--k must be a positive integer"),
+        ("uniform-sweep", "--k", "-2", "--k must be a positive integer"),
     ],
 )
 def test_invalid_recovery_inputs_are_config_errors(
@@ -268,6 +282,7 @@ def test_invalid_recovery_inputs_are_config_errors(
         "invert": ["invert", "--response", small_response(), "--l1", "0.5", "--steps", "100"],
         "roundtrip": ["roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "900"],
         "forward": ["forward", "--spec", spec_file, "--T", "1.0", "--steps", "800"],
+        "uniform-sweep": ["uniform-sweep", "--prop", "4", "--N", "8"],
     }[command]
     out = tmp_path / "out"
     assert run(*base, f"{option}={value}", "--out", str(out)) == 2
@@ -382,6 +397,18 @@ def test_an_overflowing_horizon_is_a_coarse_grid(tmp_path, spec_file, capsys):
     assert "dt = 3.03e+306 >= 0.5" in err and len(err) < 200
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_an_overflowing_response_phase_is_refused(tmp_path, spec_file, capsys, recwarn):
+    # response samples its sines exactly, with no Nyquist guard, but
+    # nu_max T overflows to inf at T = 1e308, and its sine would be NaN
+    out = tmp_path / "out"
+    assert run("response", "--spec", spec_file, "--T", "1e308", "--steps", "100", "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "error_code=3 detail=modal phase overflows: sqrt(|lambda_max|)*T = 3.03 * 1e+308 is not finite\n"
+    )
+    assert not out.exists()
+    assert [str(w.message) for w in recwarn] == []
 
 
 @pytest.mark.parametrize("t", ["1e308", "-1"])

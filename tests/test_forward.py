@@ -19,7 +19,7 @@ from krein_string import (
     uniform_eigen,
 )
 from krein_string import forward
-from krein_string.bessel import bessel_j_grid
+from krein_string.uniform import bessel_j_grid
 from krein_string.forward import (
     _CHUNK_FIELDS,
     Trajectory,
