@@ -8,7 +8,11 @@ Giulietti, "The Schubfach way to render doubles", 2020; the JDK's
 ``Double.toString``), the shortest decimal that reads back to v and the
 closest on a tie, in 64-bit integer arithmetic over uint64 arrays; without
 Java's two-digit minimum, the one-digit shortening is tried for every
-s >= 10.  Each field is laid out once at fixed places of a uint8 array of
+s >= 10.  A normal value's digit string has 16 or 17 digits, so its count
+is one compare; only zeros, subnormals, infinities and nan, picked by
+their biased exponent (0 or 0x7FF), are counted digit by digit on a side
+path, which also gives a zero, an infinity or nan f = 0 before their text
+is written.  Each field is laid out once at fixed places of a uint8 array of
 (fields x 25 places): sign, digits and point from place 0 (a lone digit in
 exponent notation takes no point), an exponent's ``e+XX`` at places 19-23,
 the separator at place 24, and NUL wherever nothing is written; one
@@ -80,16 +84,19 @@ def _moved(words, g1, g0, shift):
 
 
 def _decimal(bits):
-    """(f, e): |v| = f 10**e for each finite v's bits, f = e = 0 for zero."""
+    """(f, e): |v| = f 10**e for the bits of each normal or subnormal v, f
+    of 16 or 17 digits for a normal v; a zero's, infinity's or nan's f and e
+    mean nothing, but every table index stays in range."""
     biased = (bits >> _U(52)) & _U(0x7FF)
     fraction = bits & _FRACTION
     c = fraction | (np.minimum(biased, 1) << _U(52))
-    q = np.maximum(biased, 1).astype(np.int64) - 1075
+    q = np.maximum(biased, 1).view(np.int64) - 1075
     irregular = (fraction == 0) & (biased > 1)
     k = (q * 661971961083 - irregular * 274743187321) >> 41
-    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
+    h = (q + (-k * 913124641741 >> 38) + 2).view(np.uint64)
     g_high, g_low = _tables()[:2]
-    g1, g0 = np.take(g_high, k - _K_MIN), np.take(g_low, k - _K_MIN)
+    row = k - _K_MIN
+    g1, g0 = np.take(g_high, row), np.take(g_low, row)
     # the products at the rounding interval's lower end, then at v and at
     # its upper end, 2**h (irregular spacing) or 2**(h + 1) apart
     cp = ((c << _U(2)) - _U(2) + irregular) << h
@@ -108,7 +115,7 @@ def _decimal(bits):
     mid = (s << _U(2)) + _U(2)
     take_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & _U(1)) == 0)))
     f = np.where(short, sp10 + _U(10) * ~upin, s + ~take_s)
-    return f * (c != 0), np.where(c == 0, 0, k)
+    return f, k
 
 
 def format_block(block: np.ndarray) -> bytes:
@@ -117,27 +124,46 @@ def format_block(block: np.ndarray) -> bytes:
     m, width = rows * cols, _WIDTH
     bits = np.ascontiguousarray(block, np.float64).view(np.uint64).ravel()
     pow10, suffix, special = _tables()[2:]
-    finite = (bits & _EXPONENT) != _EXPONENT
-    f, e = _decimal(bits * finite)
-    n_digits = np.searchsorted(pow10[1:17], f, "right") + 1
-    f = f * pow10[17 - n_digits]  # 17 digits, the first nonzero (or f = 0)
-    x = e + n_digits - 1  # |v| = d.ddd 10**x
+    f, e = _decimal(bits)
+    # a normal value's s = floor(c 2**q / 10**k), c in [2**52, 2**53) and
+    # 2**q / 10**k in [1, 10) (up to 40/3 on irregular spacing), so its f
+    # has 16 or 17 digits; f17 holds them as 17 digits, the first nonzero
+    short = f < _U(10**16)
+    f17, x = np.where(short, f * _U(10), f), e + 16 - short  # |v| = d.ddd 10**x
+    # zeros, subnormals, infinities and nan (biased exponent 0 or 0x7FF) are
+    # counted digit by digit, a zero, an infinity or nan as f = 0 and x = 0
+    bad = side = np.flatnonzero((bits & _EXPONENT) - _U(1 << 52) >= _U(0x7FE << 52))
+    if side.size:
+        side_bits = bits[side]
+        finite = (side_bits & _EXPONENT) != _EXPONENT
+        nonzero = finite & ((side_bits & _LOW63) != 0)
+        side_f = f[side] * nonzero
+        n_digits = np.searchsorted(pow10[1:17], side_f, "right") + 1
+        f17[side] = side_f * pow10[17 - n_digits]
+        x[side] = e[side] * nonzero + n_digits - 1
+        bad = side[~finite]
     neg = (bits >> _U(63)).astype(np.uint8)
-    fixed = (x >= -4) & (x < 16)
-    # the 24 digits of f 10**(7 - s), s = the sign's place and the zeros of
+    fixed = (x + 4).view(np.uint64) < _U(20)  # -4 <= x < 16
+    # the 24 digits of f17 10**(7 - s), s = the sign's place and the zeros of
     # 0.000ddd, in three 8-digit parts halved down to one digit a row
     s = neg + np.where(fixed, np.maximum(-x, 0), 0)
-    top = f // pow10[9 + s]
-    rest = (f - top * pow10[9 + s]) * pow10[7 - s]
+    scale = pow10[9 + s]
+    top = f17 // scale
+    rest = (f17 - top * scale) * pow10[7 - s]
     middle = rest // _U(10**8)
-    parts = np.stack([top, middle, rest - middle * _U(10**8)]).astype(np.uint32)
-    for div, dtype in ((10000, np.uint16), (100, np.uint8), (10, np.uint8)):
+    parts = np.empty((3, m), np.uint32)
+    parts[0], parts[1], parts[2] = top, middle, rest - middle * _U(10**8)
+    digits = np.empty((width, m), np.uint8)
+    digits[0] = 0  # row 0 stands before the string
+    # the last halving writes the digits in place, rows 1-24
+    for div, halves in (
+        (10000, np.empty((3, 2, m), np.uint16)),
+        (100, np.empty((6, 2, m), np.uint8)),
+        (10, digits[1:].reshape(12, 2, m)),
+    ):
         high = parts // div
-        halves = np.empty((len(parts), 2, m), dtype)
         halves[:, 0], halves[:, 1] = high, parts - high * div
-        parts = halves.reshape(2 * len(parts), m)
-    digits = np.zeros((width, m), np.uint8)  # row 0 stands before the string
-    digits[1:] = parts
+        parts = halves.reshape(2 * len(halves), m)
     last = ((parts != 0) * np.arange(1, width, dtype=np.uint8)[:, None]).max(axis=0)
     # the point follows the integer part, or the first digit unless it is
     # the only one; a lone digit's point is placed beyond the field
@@ -155,8 +181,8 @@ def format_block(block: np.ndarray) -> bytes:
     exp = np.flatnonzero(~fixed)
     if exp.size:  # places 19-23 of each field as one 5-byte item
         np.ndarray((m,), suffix.dtype, text, 19, (width,))[exp] = suffix[x[exp] + 324]
-    bad = np.flatnonzero(~finite)
-    text[bad, :-1] = special[np.where(bits[bad] & _FRACTION, 0, 2 - neg[bad])]
+    if bad.size:
+        text[bad, :-1] = special[np.where(bits[bad] & _FRACTION, 0, 2 - neg[bad])]
     sep = text.reshape(rows, cols, width)[:, :, -1]
     sep[...] = ord(",")
     sep[:, -1] = ord("\n")

@@ -172,9 +172,12 @@ def check_nyquist(data: SpectralData, grid: TimeGrid) -> None:
                 need += 1
             while need > 1 and nu_max * (grid.horizon / (need - 1)) < NYQUIST_LIMIT:
                 need -= 1
+        if np.isfinite(need):
+            remedy = f"need n_steps >= {need:.16g}"
+        else:  # no step count is large enough
+            remedy = f"sqrt(|lambda_max|)*T = {nu_max:.3g} * {grid.horizon:.3g} overflows"
         raise StabilityError(
-            f"grid too coarse: sqrt(|lambda_max|)*dt = {nu_max * grid.dt:.3g} "
-            f">= {NYQUIST_LIMIT} (need n_steps >= {need:.16g})"
+            f"grid too coarse: sqrt(|lambda_max|)*dt = {nu_max * grid.dt:.3g} >= {NYQUIST_LIMIT} ({remedy})"
         )
 
 
@@ -308,7 +311,8 @@ def mollified_delta(grid: TimeGrid, width: float) -> Waveform:
     if not (np.isfinite(width) and width > 0.0):
         raise ValueError(f"width must be finite and positive, got {width!r}")
     t = grid.times
-    vals = np.exp(-0.5 * ((t - 5.0 * width) / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 at a huge horizon
+        vals = np.exp(-0.5 * ((t - 5.0 * width) / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
     return Waveform(grid=grid, values=vals)
 
 
@@ -388,7 +392,7 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     nu_max = _max_frequency(mats)
     if nu_max * dt >= RK4_LIMIT:
         raise StabilityError(
-            f"RK4 unstable: sqrt(|lambda_max|)*dt = {nu_max * dt:.3f} >= {RK4_LIMIT}"
+            f"RK4 unstable: sqrt(|lambda_max|)*dt = {nu_max * dt:.3g} >= {RK4_LIMIT}"
         )
     d = mats.order
     a_mat = mats.stiffness

@@ -133,14 +133,17 @@ def _center_width(center: float, width: float) -> tuple[float, float]:
 def gaussian_bump(center: float, width: float) -> TestFunction:
     c, w = _center_width(center, width)
 
+    # far from c the square overflows to inf, and exp(-inf) = 0 is the value
     def fn(t):
-        return np.exp(-0.5 * ((t - c) / w) ** 2)
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * ((t - c) / w) ** 2)
 
     def deriv(t):
         return -((t - c) / w**2) * fn(t)
 
     def tail(t):
-        return 1.0 if t <= c else float(np.exp(-0.5 * ((t - c) / w) ** 2))
+        with np.errstate(over="ignore"):
+            return 1.0 if t <= c else float(np.exp(-0.5 * ((t - c) / w) ** 2))
 
     return TestFunction(fn, deriv, tail)
 

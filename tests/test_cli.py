@@ -389,14 +389,43 @@ def test_bad_sweep_and_control_inputs_are_config_errors(
 def test_an_overflowing_horizon_is_a_coarse_grid(tmp_path, spec_file, capsys):
     # nu_max T overflows to inf at T = 1e308; the Nyquist guard still refuses
     # the grid as too coarse, as at T = 1e300, and gives sqrt(|lambda_max|) dt
-    # to three digits, not as its 300 integer digits
+    # to three digits, not as its 300 integer digits, and names no step count
     out = tmp_path / "out"
     assert run("forward", "--spec", spec_file, "--T", "1e308", "--steps", "100", "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error_code=3 detail=grid too coarse")
     assert "dt = 3.03e+306 >= 0.5" in err and len(err) < 200
+    assert "sqrt(|lambda_max|)*T = 3.03 * 1e+308 overflows" in err
+    assert "inf" not in err and "n_steps" not in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon, ratio", [("1e300", "3.03e+298"), ("1e308", "3.03e+306"), ("100", "3.03")])
+def test_rk4_refusal_gives_the_step_ratio_to_three_digits(horizon, ratio, tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    argv = ["forward", "--spec", spec_file, "--T", horizon, "--steps", "100", "--solver", "ode"]
+    assert run(*argv, "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        f"error_code=3 detail=RK4 unstable: sqrt(|lambda_max|)*dt = {ratio} >= 2.8\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "control, solver", [("gauss:0.3,0.1", "spectral"), ("gauss:0.3,0.1", "ode"), ("delta", "ode")]
+)
+def test_a_control_at_an_overflowing_horizon_gives_no_warning(
+    control, solver, tmp_path, spec_file, capsys, recwarn
+):
+    # far beyond its center the control's square overflows, and exp(-inf) = 0;
+    # the grid is then refused as too coarse, with no warning before it
+    out = tmp_path / "out"
+    argv = ["forward", "--spec", spec_file, "--T", "1e308", "--steps", "100"]
+    assert run(*argv, "--control", control, "--solver", solver, "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("error_code=3 ")
+    assert not out.exists()
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_an_overflowing_response_phase_is_refused(tmp_path, spec_file, capsys, recwarn):

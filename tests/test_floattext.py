@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krein_string.floattext import format_block
+from krein_string.floattext import _decimal, format_block
 
 
 def repr_join(block):
@@ -32,6 +32,26 @@ def test_raw_bit_patterns_match_repr(patterns, cols):
     assert format_block(block) == repr_join(block)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=1, max_value=2046),
+            st.integers(min_value=0, max_value=2**52 - 1),
+        ),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_a_normal_value_has_16_or_17_digits(fields):
+    # format_block's fast path counts no digits: it takes a normal value's f
+    # to have 16 or 17 of them, whatever the sign, exponent and fraction
+    bits = np.array([sign << 63 | biased << 52 | fraction for sign, biased, fraction in fields], np.uint64)
+    f, _ = _decimal(bits)
+    assert np.all((f >= 10**15) & (f < 10**17)), f
+
+
 RNG = np.random.default_rng(53)
 SWEEPS = {
     "powers of two": with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
@@ -43,6 +63,15 @@ SWEEPS = {
     "integers times 2**k": np.ldexp(RNG.integers(1, 2**20, (200, 1)).astype(np.float64), np.arange(53)).ravel(),
     "notation edges": with_neighbours([1e16, 1e-4]),
     "limits": [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf, np.nan],
+    # the fast path's normals with the side path's zeros, subnormals, inf and
+    # nan (and two exact normals) spliced in every fifth field
+    "side path among normals": np.insert(
+        np.exp(RNG.uniform(np.log(1e-20), np.log(1e17), 6000)),
+        np.arange(5, 6000, 5),
+        np.resize(
+            [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e-310, np.inf, -np.inf, np.nan, 2.0**-1022, 0.5], 1199
+        ),
+    ),
 }
 
 
