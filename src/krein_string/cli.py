@@ -328,7 +328,7 @@ def _cmd_invert(args, echo: str) -> int:
 
 def _cmd_roundtrip(args, echo: str) -> int:
     if not (np.isfinite(args.noise) and args.noise >= 0.0):
-        raise ValueError(f"noise must be finite and non-negative, got {args.noise!r}")
+        raise ValueError(f"--noise must be finite and non-negative, got {args.noise!r}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed!r}")
     if args.oversample < 1:
@@ -359,9 +359,12 @@ def _cmd_roundtrip(args, echo: str) -> int:
 
 
 def _cmd_uniform_sweep(args, echo: str) -> int:
-    ns = [int(tok) for tok in args.N.split(",") if tok.strip()]
+    try:
+        ns = [int(tok) for tok in args.N.split(",") if tok.strip()]
+    except ValueError:
+        ns = []
     if not ns or min(ns) < 2:
-        raise ValueError(f"--N needs segment counts of at least 2, got {args.N!r}")
+        raise ValueError(f"--N needs integer segment counts of at least 2, got {args.N!r}")
     if args.prop == 1:
         # impulse components j = 1 and n // 2 against the spectral sum, worst
         # case over j and t; only those two components are summed, and the

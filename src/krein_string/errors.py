@@ -24,7 +24,7 @@ class StabilityError(KreinStringError, RuntimeError):
 
 
 class RankError(KreinStringError, RuntimeError):
-    """Connector rank degenerate or inconsistent with the requested solve."""
+    """Connector rank 0, or one so near the grid size that it passes the rank cap."""
 
 
 class RecoveryError(KreinStringError, RuntimeError):

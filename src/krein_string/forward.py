@@ -160,24 +160,24 @@ def _serial_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.dot(a[r : r + rows], b, out=out[r : r + rows])
 
 
-def check_nyquist(data: SpectralData, grid: TimeGrid) -> None:
-    nu_max = float(np.max(data.frequencies))
-    if nu_max * grid.dt >= NYQUIST_LIMIT:
+def _check_step(nu_max: float, grid: TimeGrid, limit: float, heading: str) -> None:
+    """``StabilityError`` headed ``heading`` unless nu_max dt < ``limit``."""
+    if nu_max * grid.dt >= limit:
         # the smallest step count that passes; a float, not int(): nu_max T
         # overflows to inf for T near the float maximum
-        need = np.floor(nu_max * grid.horizon / NYQUIST_LIMIT) + 1
+        need = np.floor(nu_max * grid.horizon / limit) + 1
         if need < 2**53:
             # rounding can move the boundary by a step: settle it by the test
-            while nu_max * (grid.horizon / need) >= NYQUIST_LIMIT:
+            while nu_max * (grid.horizon / need) >= limit:
                 need += 1
-            while need > 1 and nu_max * (grid.horizon / (need - 1)) < NYQUIST_LIMIT:
+            while need > 1 and nu_max * (grid.horizon / (need - 1)) < limit:
                 need -= 1
         if np.isfinite(need):
             remedy = f"need n_steps >= {need:.16g}"
         else:  # no step count is large enough
             remedy = f"sqrt(|lambda_max|)*T = {nu_max:.3g} * {grid.horizon:.3g} overflows"
         raise StabilityError(
-            f"grid too coarse: sqrt(|lambda_max|)*dt = {nu_max * grid.dt:.3g} >= {NYQUIST_LIMIT} ({remedy})"
+            f"{heading}: sqrt(|lambda_max|)*dt = {nu_max * grid.dt:.3g} >= {limit} ({remedy})"
         )
 
 
@@ -258,7 +258,7 @@ def solve_forward_spectral(
     third.
     """
     grid = f.grid
-    check_nyquist(data, grid)
+    _check_step(float(np.max(data.frequencies)), grid, NYQUIST_LIMIT, "grid too coarse")
     nu = data.frequencies
     modes = data.modes
     k = len(nu)
@@ -301,7 +301,7 @@ def solve_forward_delta(data: SpectralData, l1: float, grid: TimeGrid) -> Trajec
     The inner Duhamel integral collapses to sin(nu_k t)/nu_k exactly, so no
     mollifier enters.
     """
-    check_nyquist(data, grid)
+    _check_step(float(np.max(data.frequencies)), grid, NYQUIST_LIMIT, "grid too coarse")
     return Trajectory(grid=grid, states=_impulse_response(data, l1, grid))
 
 
@@ -388,12 +388,7 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     grid = f.grid
     if grid.n_steps < 3:
         raise GridError(f"the RK4 oracle needs at least 4 nodes (steps >= 3), got {grid.n_steps + 1}")
-    dt = grid.dt
-    nu_max = _max_frequency(mats)
-    if nu_max * dt >= RK4_LIMIT:
-        raise StabilityError(
-            f"RK4 unstable: sqrt(|lambda_max|)*dt = {nu_max * dt:.3g} >= {RK4_LIMIT}"
-        )
+    _check_step(_max_frequency(mats), grid, RK4_LIMIT, "RK4 unstable")
     d = mats.order
     a_mat = mats.stiffness
     inv_m = 1.0 / mats.masses
@@ -406,7 +401,7 @@ def solve_forward_ode(mats: SystemMatrices, f: Waveform, l1: float) -> Trajector
     f_half = _midpoint_values(f.values)
     direction = np.zeros(2 * d)
     direction[d] = 1.0 / (l1 * mats.masses[0])
-    prop, c0, ch, c1 = rk4_propagator(op, dt, direction)
+    prop, c0, ch, c1 = rk4_propagator(op, grid.dt, direction)
 
     # phi_j = (f_j, f_{j+1/2}, f_{j+1}) in blocks of b steps, zero past step n
     n = grid.n_steps

@@ -222,73 +222,132 @@ def test_invert_names_the_line_of_a_non_numeric_field(tmp_path, small_response, 
     assert not (tmp_path / "out").exists()
 
 
-def test_too_few_steps_is_a_config_error(tmp_path, spec_file, small_response, capsys):
+# ---------------------------------------------------------------------------
+# Refusals of a command line, one row each (a malformed response file and
+# argparse's own refusals have their tests above and below).  A row is an
+# argv, split on spaces before its {spec}, {response} and {bad_spec} are
+# filled in, the exit code of its class of failure, and the start of the
+# detail; a detail that ends in a newline is the whole of stderr.
+
+FORWARD = "forward --spec {spec} --T 1.0 --steps 800"
+ROUNDTRIP = "roundtrip --spec {spec} --T 2.0 --steps 900"
+INVERT = "invert --response {response} --l1 0.5"
+SWEEP = "uniform-sweep --prop"
+BAD_XI = "bad test-function arguments in"
+
+REFUSALS = [
+    # options out of range, each detail with the value read; the seed is
+    # refused even where no noise is drawn
+    *((f"{INVERT} --steps 100 --l1={v}", 2, f"l1 must be finite and positive, got {float(v)!r}\n")
+      for v in ("0", "-0.2", "nan", "inf")),
+    *((f"{INVERT} --steps 100 --threshold={v}", 2, f"threshold must lie in (0, 1), got {float(v)!r}\n")
+      for v in ("-1", "0", "1", "2")),
+    (f"{ROUNDTRIP} --threshold nan", 2, "threshold must lie in (0, 1), got nan\n"),
+    *((f"{ROUNDTRIP} --noise={v}", 2, f"--noise must be finite and non-negative, got {float(v)!r}\n")
+      for v in ("-1e-6", "nan", "inf")),
+    (f"{ROUNDTRIP} --oversample 0", 2, "--oversample must be at least 1, got 0\n"),
+    (f"{ROUNDTRIP} --seed -1", 2, "--seed must be non-negative, got -1\n"),
+    (f"{ROUNDTRIP} --noise 1e-9 --seed -1", 2, "--seed must be non-negative, got -1\n"),
+    *((f"{FORWARD} --control delta:{w}", 2, f"--control delta width must be finite and positive, got '{w}'\n")
+      for w in ("abc", "0", "-0.02", "nan")),
+    (f"{FORWARD} --control deltafoo", 2, "unknown test function 'deltafoo'\n"),
+    (f"{FORWARD} --control gauss:0.3,0", 2, f"{BAD_XI} 'gauss:0.3,0': "),
+    (f"{SWEEP} 3 --N 8 --xi gauss:0.0,0", 2, f"{BAD_XI} 'gauss:0.0,0': "),
+    *((f"{SWEEP} 2 --N 8 --xi {xi}", 2, f"{BAD_XI} '{xi}': ")
+      for xi in ("gauss:0.0,0", "gauss:nan,0.3", "gauss:0.0,inf", "rcos:0.1,0", "rcos:0.1,-0.2", "sine:nan")),
+    (f"{SWEEP} 4 --N 8 --k 0", 2, "--k must be a positive integer, got 0\n"),
+    (f"{SWEEP} 4 --N 8 --k=-2", 2, "--k must be a positive integer, got -2\n"),
+    *((f"{SWEEP} {prop} --N={n}", 2, f"--N needs integer segment counts of at least 2, got '{n}'\n")
+      for prop, n in [(2, "0"), (3, "8,0"), (2, "-4"), (3, "-4"), (4, "0"), (4, "1"), (1, "1"), (2, ",")]),
+    *((f"{SWEEP} 1 --N {n}", 2, f"--N needs integer segment counts of at least 2, got '{n}'\n")
+      for n in ("8,abc", "8.5")),
+    # the pairing's tail bound never falls below tol for a test function that
+    # does not decay: refused before any pairing runs, which would end at
+    # s = 5e5 in a TruncationError, exit 3
+    *((f"{SWEEP} {prop} --N 8 --xi {xi}", 2,
+       f"--prop {prop} needs a test function that decays away from t = 0, gauss or rcos; got '{xi}'\n")
+      for prop in (2, 3) for xi in ("sine:1", "one")),
+    # sin(k t) at t = inf would warn, and the ladder's argument 2 N t
+    # overflows at N = 8 for t = 1e308
+    *((f"{SWEEP} 4 --N 8 --t={t}", 2,
+       f"--t must be finite and positive, with 2 N t finite for every --N; got {float(t)!r}\n")
+      for t in ("inf", "1e308", "-1")),
+    *((f"{command} --spec {{spec}} --T inf --steps 100", 2, "horizon must be finite and positive, got inf\n")
+      for command in ("forward", "response", "roundtrip")),
     # recovery fits its range model on the n - 1 interior nodes, which must
     # outnumber the rank, and the RK4 oracle's midpoint rule reads four nodes
-    # at each end: steps 1 and 2 are rejected before any file is written, and
-    # steps 3 too for the two-mass string; there the oracle runs, and
-    # recovery runs from steps 4
-    roundtrip = ["roundtrip", "--spec", spec_file, "--T", "2.0", "--out", str(tmp_path)]
-    invert = ["invert", "--response", small_response(), "--l1", "0.5", "--out", str(tmp_path)]
-    ode = ["forward", "--spec", spec_file, "--T", "2.0", "--solver", "ode", "--out", str(tmp_path)]
-    needs = {
-        "roundtrip": "recovery of rank",
-        "invert": "recovery of rank 1",
-        "forward": "the RK4 oracle",
-    }
-    for argv in (roundtrip, invert, ode):
-        for steps in ("1", "2"):
-            assert run(*argv, "--steps", steps) == 2, (argv[0], steps)
-            err = capsys.readouterr().err
-            assert err.startswith(f"error_code=2 detail={needs[argv[0]]} "), err
-            assert "Traceback" not in err
-    assert run(*roundtrip, "--steps", "3") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error_code=2 detail=recovery of rank 2 needs more than 3 steps, got 3 ")
-    assert run(*roundtrip, "--steps", "4") == 0
-    assert run(*ode, "--steps", "3") == 0
+    ("roundtrip --spec {spec} --T 2.0 --steps 1", 2, "recovery of rank 1 needs more than 2 steps, got 1 "),
+    ("roundtrip --spec {spec} --T 2.0 --steps 2", 2, "recovery of rank 2 needs more than 3 steps, got 2 "),
+    ("roundtrip --spec {spec} --T 2.0 --steps 3", 2, "recovery of rank 2 needs more than 3 steps, got 3 "),
+    (f"{INVERT} --steps 1", 2, "recovery of rank 1 needs more than 2 steps, got 1 "),
+    (f"{INVERT} --steps 2", 2, "recovery of rank 1 needs more than 2 steps, got 2 "),
+    *((f"forward --spec {{spec}} --T 2.0 --solver ode --steps {steps}", 2,
+       f"the RK4 oracle needs at least 4 nodes (steps >= 3), got {steps + 1}\n")
+      for steps in (1, 2)),
+    ("spectral --spec {bad_spec}", 2, "non-positive length (values below 1e-12 rejected)\n"),
+    ("spectral --spec {spec}.missing", 4, "[Errno 2] No such file or directory: '{spec}.missing'\n"),
+    # a step past either solver's bound names the smallest --steps that
+    # passes; where nu_max T overflows, none does, and sqrt(|lambda_max|) dt
+    # is given to three digits, not as its 300 integer digits.  A control
+    # there underflows to zero with no warning
+    ("forward --spec {spec} --T 1.0 --steps 4", 3,
+     "grid too coarse: sqrt(|lambda_max|)*dt = 0.758 >= 0.5 (need n_steps >= 7)\n"),
+    *((f"forward --spec {{spec}} --T 1e308 --steps 100{solver}{control}", 3,
+       f"{heading}: sqrt(|lambda_max|)*dt = 3.03e+306 >= {limit} "
+       "(sqrt(|lambda_max|)*T = 3.03 * 1e+308 overflows)\n")
+      for solver, heading, limit in [("", "grid too coarse", 0.5), (" --solver ode", "RK4 unstable", 2.8)]
+      for control in ("", " --control gauss:0.3,0.1")),
+    ("forward --spec {spec} --T 1e300 --steps 100 --solver ode", 3,
+     "RK4 unstable: sqrt(|lambda_max|)*dt = 3.03e+298 >= 2.8 (need n_steps >= 1.082417303595031e+300)\n"),
+    ("forward --spec {spec} --T 100 --steps 100 --solver ode", 3,
+     "RK4 unstable: sqrt(|lambda_max|)*dt = 3.03 >= 2.8 (need n_steps >= 109)\n"),
+    # response samples its sines exactly, with no step bound, but the sine
+    # of an overflowing phase would be NaN
+    ("response --spec {spec} --T 1e308 --steps 100", 3,
+     "modal phase overflows: sqrt(|lambda_max|)*T = 3.03 * 1e+308 is not finite\n"),
+    # a noise floor far above the threshold puts the rank near n
+    ("roundtrip --spec {spec} --T 1.0 --steps 400 --noise 1e-3", 3, "connector rank is near the grid size: "),
+]
 
 
-@pytest.mark.parametrize(
-    "command, option, value, detail",
-    [
-        ("invert", "--l1", "0", "l1 must be finite and positive"),
-        ("invert", "--l1", "-0.2", "l1 must be finite and positive"),
-        ("invert", "--l1", "nan", "l1 must be finite and positive"),
-        ("invert", "--l1", "inf", "l1 must be finite and positive"),
-        ("invert", "--threshold", "-1", "threshold must lie in (0, 1)"),
-        ("invert", "--threshold", "0", "threshold must lie in (0, 1)"),
-        ("invert", "--threshold", "1", "threshold must lie in (0, 1)"),
-        ("invert", "--threshold", "2", "threshold must lie in (0, 1)"),
-        ("roundtrip", "--threshold", "nan", "threshold must lie in (0, 1)"),
-        ("roundtrip", "--T", "inf", "horizon must be finite and positive"),
-        ("roundtrip", "--noise", "-1e-6", "noise must be finite and non-negative"),
-        ("roundtrip", "--noise", "nan", "noise must be finite and non-negative"),
-        ("roundtrip", "--noise", "inf", "noise must be finite and non-negative"),
-        ("roundtrip", "--oversample", "0", "--oversample must be at least 1"),
-        ("roundtrip", "--seed", "-1", "--seed must be non-negative"),
-        ("forward", "--control", "delta:abc", "--control delta width must be finite and positive"),
-        ("uniform-sweep", "--k", "0", "--k must be a positive integer"),
-        ("uniform-sweep", "--k", "-2", "--k must be a positive integer"),
-    ],
-)
-def test_invalid_recovery_inputs_are_config_errors(
-    command, option, value, detail, tmp_path, spec_file, small_response, capsys
-):
-    # each is rejected before any artifact is written, never read as a
-    # degenerate but accepted configuration; the seed is refused even where
-    # no noise is drawn
-    base = {
-        "invert": ["invert", "--response", small_response(), "--l1", "0.5", "--steps", "100"],
-        "roundtrip": ["roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "900"],
-        "forward": ["forward", "--spec", spec_file, "--T", "1.0", "--steps", "800"],
-        "uniform-sweep": ["uniform-sweep", "--prop", "4", "--N", "8"],
-    }[command]
+@pytest.mark.parametrize("argv, code, detail", REFUSALS, ids=[row[0] for row in REFUSALS])
+def test_refusal(argv, code, detail, tmp_path, spec_file, small_response, capfd, recwarn):
+    # the exit code of the failure's class and one line on stderr, with no
+    # traceback, no warning and no output directory
+    bad_spec = tmp_path / "bad.txt"
+    bad_spec.write_text("lengths=0.5,-0.5\nmasses=1.0\n", encoding="utf-8")
+    paths = {"spec": spec_file, "response": small_response(), "bad_spec": str(bad_spec)}
     out = tmp_path / "out"
-    assert run(*base, f"{option}={value}", "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error_code=2 detail={detail}, got ")
+    assert main([arg.format(**paths) for arg in argv.split()] + ["--out", str(out)]) == code
+    err = capfd.readouterr().err
+    head = f"error_code={code} detail={detail.format(**paths)}"
+    assert err == head if detail.endswith("\n") else err.startswith(head), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+    assert [str(w.message) for w in recwarn] == []
     assert not out.exists()
+
+
+def test_the_inputs_next_to_a_refusal_run(tmp_path, spec_file):
+    # the two-mass roundtrip runs from 4 steps and the RK4 oracle from 3,
+    # and the forward control takes the test functions the sweeps refuse
+    out = str(tmp_path / "out")
+    assert run("roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "4", "--out", out) == 0
+    ode = ["forward", "--spec", spec_file, "--T", "2.0", "--solver", "ode", "--out", out]
+    assert run(*ode, "--steps", "3") == 0
+    for xi in ("sine:1", "one"):
+        assert run(*FORWARD.format(spec=spec_file).split(), "--control", xi, "--out", out) == 0
+
+
+def test_strings_whose_modes_agree_to_rounding_run(tmp_path, capsys):
+    # valid strings, which test_spectral holds to the RK4 oracle
+    for text in ("lengths=1,1e12,1\nmasses=1,1\n", "lengths=1,1e9,1,1e9,1\nmasses=1,1,1,1\n"):
+        clustered = tmp_path / "clustered.txt"
+        clustered.write_text(text, encoding="utf-8")
+        assert run("spectral", "--spec", str(clustered), "--out", str(tmp_path)) == 0
+        forward = ("forward", "--spec", str(clustered), "--T", "4", "--steps", "800")
+        assert run(*forward, "--control", "delta:0.1", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_linalg_failure_is_numerical(tmp_path, small_response, capsys, monkeypatch):
@@ -346,168 +405,18 @@ def test_uniform_prop1_sums_only_the_compared_components(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["uniform-sweep", "--prop", "2", "--N", "0"],
-        ["uniform-sweep", "--prop", "3", "--N", "8,0"],
-        ["uniform-sweep", "--prop", "2", "--N", "-4"],
-        ["uniform-sweep", "--prop", "3", "--N", "-4"],
-        ["uniform-sweep", "--prop", "4", "--N", "0"],
-        ["uniform-sweep", "--prop", "4", "--N", "1"],
-        ["uniform-sweep", "--prop", "1", "--N", "1"],
-        ["uniform-sweep", "--prop", "2", "--N", ","],
-        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "gauss:0.0,0"],
-        ["uniform-sweep", "--prop", "3", "--N", "8", "--xi", "gauss:0.0,0"],
-        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "gauss:nan,0.3"],
-        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "gauss:0.0,inf"],
-        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "rcos:0.1,0"],
-        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "rcos:0.1,-0.2"],
-        ["uniform-sweep", "--prop", "2", "--N", "8", "--xi", "sine:nan"],
-        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "gauss:0.3,0"],
-        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:0"],
-        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:-0.02"],
-        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "delta:nan"],
-        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--control", "deltafoo"],
-        ["forward", "--spec", "{spec}", "--T", "inf", "--steps", "800"],
-        ["response", "--spec", "{spec}", "--T", "inf", "--steps", "800"],
-        ["uniform-sweep", "--prop", "4", "--N", "8", "--t", "inf"],
-    ],
-    ids=" ".join,
+    "horizon, solver, need",
+    [("2.5", "spectral", 16), ("1.0", "spectral", 7), ("40", "spectral", 243), ("40", "ode", 44),
+     ("100", "ode", 109)],
 )
-def test_bad_sweep_and_control_inputs_are_config_errors(
-    argv, tmp_path, spec_file, capsys, recwarn
-):
-    # each is refused before any value is computed from it: sin(k t) at
-    # t = inf, for one, would warn
-    out = tmp_path / "out"
-    assert run(*(arg.format(spec=spec_file) for arg in argv), "--out", str(out)) == 2
-    assert capsys.readouterr().err.startswith("error_code=2 ")
-    assert not out.exists()
-    assert [str(w.message) for w in recwarn] == []
-
-
-def test_an_overflowing_horizon_is_a_coarse_grid(tmp_path, spec_file, capsys):
-    # nu_max T overflows to inf at T = 1e308; the Nyquist guard still refuses
-    # the grid as too coarse, as at T = 1e300, and gives sqrt(|lambda_max|) dt
-    # to three digits, not as its 300 integer digits, and names no step count
-    out = tmp_path / "out"
-    assert run("forward", "--spec", spec_file, "--T", "1e308", "--steps", "100", "--out", str(out)) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error_code=3 detail=grid too coarse")
-    assert "dt = 3.03e+306 >= 0.5" in err and len(err) < 200
-    assert "sqrt(|lambda_max|)*T = 3.03 * 1e+308 overflows" in err
-    assert "inf" not in err and "n_steps" not in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("horizon, ratio", [("1e300", "3.03e+298"), ("1e308", "3.03e+306"), ("100", "3.03")])
-def test_rk4_refusal_gives_the_step_ratio_to_three_digits(horizon, ratio, tmp_path, spec_file, capsys):
-    out = tmp_path / "out"
-    argv = ["forward", "--spec", spec_file, "--T", horizon, "--steps", "100", "--solver", "ode"]
-    assert run(*argv, "--out", str(out)) == 3
-    assert capsys.readouterr().err == (
-        f"error_code=3 detail=RK4 unstable: sqrt(|lambda_max|)*dt = {ratio} >= 2.8\n"
-    )
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "control, solver", [("gauss:0.3,0.1", "spectral"), ("gauss:0.3,0.1", "ode"), ("delta", "ode")]
-)
-def test_a_control_at_an_overflowing_horizon_gives_no_warning(
-    control, solver, tmp_path, spec_file, capsys, recwarn
-):
-    # far beyond its center the control's square overflows, and exp(-inf) = 0;
-    # the grid is then refused as too coarse, with no warning before it
-    out = tmp_path / "out"
-    argv = ["forward", "--spec", spec_file, "--T", "1e308", "--steps", "100"]
-    assert run(*argv, "--control", control, "--solver", solver, "--out", str(out)) == 3
-    assert capsys.readouterr().err.startswith("error_code=3 ")
-    assert not out.exists()
-    assert [str(w.message) for w in recwarn] == []
-
-
-def test_an_overflowing_response_phase_is_refused(tmp_path, spec_file, capsys, recwarn):
-    # response samples its sines exactly, with no Nyquist guard, but
-    # nu_max T overflows to inf at T = 1e308, and its sine would be NaN
-    out = tmp_path / "out"
-    assert run("response", "--spec", spec_file, "--T", "1e308", "--steps", "100", "--out", str(out)) == 3
-    assert capsys.readouterr().err == (
-        "error_code=3 detail=modal phase overflows: sqrt(|lambda_max|)*T = 3.03 * 1e+308 is not finite\n"
-    )
-    assert not out.exists()
-    assert [str(w.message) for w in recwarn] == []
-
-
-@pytest.mark.parametrize("t", ["1e308", "-1"])
-def test_sweep_time_refusal_names_t(t, tmp_path, capsys, recwarn):
-    # 1e308 is finite, but the ladder's argument 2 N t overflows at N = 8;
-    # both are refused by the CLI, naming --t, before any file is written
-    out = tmp_path / "out"
-    assert run("uniform-sweep", "--prop", "4", "--N", "8", f"--t={t}", "--out", str(out)) == 2
-    assert capsys.readouterr().err == (
-        "error_code=2 detail=--t must be finite and positive, with 2 N t finite "
-        f"for every --N; got {float(t)!r}\n"
-    )
-    assert not out.exists()
-    assert [str(w.message) for w in recwarn] == []
-
-
-@pytest.mark.parametrize("horizon, need", [("2.5", 16), ("1.0", 7), ("40", 243)])
 def test_coarse_grid_names_the_smallest_step_count_that_passes(
-    horizon, need, tmp_path, spec_file, capsys
+    horizon, solver, need, tmp_path, spec_file, capsys
 ):
     out = tmp_path / "out"
-    argv = ["forward", "--spec", spec_file, "--T", horizon, "--out", str(out)]
+    argv = ["forward", "--spec", spec_file, "--T", horizon, "--solver", solver, "--out", str(out)]
     assert run(*argv, "--steps", str(need - 1)) == 3
     assert f"(need n_steps >= {need})" in capsys.readouterr().err
     assert run(*argv, "--steps", str(need)) == 0
-
-
-@pytest.mark.parametrize("prop", ["2", "3"])
-@pytest.mark.parametrize("xi", ["sine:1", "one"])
-def test_sweep_refuses_a_test_function_that_does_not_decay(
-    prop, xi, tmp_path, spec_file, capsys, monkeypatch
-):
-    # the pairing's tail bound never falls below tol for these, so the sweep
-    # refuses them before any pairing runs instead of failing at s = 5e5
-    def pairing(*args, **kwargs):
-        raise AssertionError("a pairing ran")
-
-    monkeypatch.setattr("krein_string.uniform.pair_response", pairing)
-    monkeypatch.setattr("krein_string.uniform.pair_corrected_response", pairing)
-    out = tmp_path / "out"
-    assert run("uniform-sweep", "--prop", prop, "--N", "8", "--xi", xi, "--out", str(out)) == 2
-    assert capsys.readouterr().err == (
-        f"error_code=2 detail=--prop {prop} needs a test function that decays "
-        f"away from t = 0, gauss or rcos; got '{xi}'\n"
-    )
-    assert not out.exists()
-    # the forward control still takes both
-    control = ("forward", "--spec", spec_file, "--T", "1.0", "--steps", "800", "--control", xi)
-    assert run(*control, "--out", str(out)) == 0
-
-
-def test_exit_codes(tmp_path, spec_file, capsys):
-    bad_spec = tmp_path / "bad.txt"
-    bad_spec.write_text("lengths=0.5,-0.5\nmasses=1.0\n", encoding="utf-8")
-    assert run("spectral", "--spec", str(bad_spec), "--out", str(tmp_path)) == 2
-    assert "error_code=2" in capsys.readouterr().err
-    assert run("spectral", "--spec", str(tmp_path / "missing.txt"), "--out", str(tmp_path)) == 4
-    assert "error_code=4" in capsys.readouterr().err
-    # strings whose modes agree to rounding are valid and run; test_spectral
-    # holds them to the RK4 oracle
-    for text in ("lengths=1,1e12,1\nmasses=1,1\n", "lengths=1,1e9,1,1e9,1\nmasses=1,1,1,1\n"):
-        clustered = tmp_path / "clustered.txt"
-        clustered.write_text(text, encoding="utf-8")
-        assert run("spectral", "--spec", str(clustered), "--out", str(tmp_path)) == 0
-        forward = ("forward", "--spec", str(clustered), "--T", "4", "--steps", "800")
-        assert run(*forward, "--control", "delta:0.1", "--out", str(tmp_path)) == 0
-    assert capsys.readouterr().err == ""
-    # Nyquist guard trips on a 4-step grid
-    assert run("forward", "--spec", spec_file, "--T", "1.0", "--steps", "4", "--out", str(tmp_path)) == 3
-    assert "error_code=3" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(tmp_path, spec_file):
