@@ -65,13 +65,15 @@ EXIT_IO = 4
 # 2-CPU VM); 2**13 keeps clear of the rise.
 _BLOCK_FIELDS = 2**13
 
-# Fewest fields a part is given.  On a 2-CPU VM, in a 64 MB process, a fork
-# and its reap take 3.1-3.5 ms, the child runs its first instruction 2.5 ms
-# after the fork once the parent places it (4.6 ms when it pinned itself),
-# and writing and reading its spill file takes 2.4 ms per 3 MB.  A part
-# thus costs about 6 ms beyond its own formatting, as long as formatting
-# 2**15 fields takes (about 200 ns each), so a table is split from 2**17
-# fields on.
+# Fewest fields a part is given.  On a 2-CPU VM, for a 10001 x 24 table cut
+# into two 120k-field halves in a 100 MB process, the fork call takes 2.0 ms;
+# about 550 copy-on-write faults on each side cost this process 2.7 ms of
+# its own half; the child's teardown holds waitpid 2.7 ms; and copying the
+# spill back takes 0.6 ms a MB (1.4 ms for the half's 2.4 MB).  A part thus
+# costs about 9 ms beyond its own formatting, as long as formatting
+# 2**14.4 fields takes in that process's default heap (about 400 ns each)
+# and 2**15.6 in a steady one (about 180 ns), so a table is split from
+# 2**17 fields on.
 _MIN_PART_FIELDS = 2**16
 
 _CONFIG_ERRORS = (SpecError, GridError, ValueError)

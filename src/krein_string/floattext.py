@@ -12,12 +12,18 @@ s >= 10.  A normal value's digit string has 16 or 17 digits, so its count
 is one compare; only zeros, subnormals, infinities and nan, picked by
 their biased exponent (0 or 0x7FF), are counted digit by digit on a side
 path, which also gives a zero, an infinity or nan f = 0 before their text
-is written.  Each field is laid out once at fixed places of a uint8 array of
-(fields x 25 places): sign, digits and point from place 0 (a lone digit in
-exponent notation takes no point), an exponent's ``e+XX`` at places 19-23,
-the separator at place 24, and NUL wherever nothing is written; one
-boolean compress drops every NUL.  The tables are built on first use, and
-no BLAS routine is called, so a forked child may format.
+is written.  Each field is laid out once in its own 25-place slot of a
+uint8 array of (fields x 25 places): sign, digits and point from place 0 (a
+lone digit in exponent notation takes no point), then an exponent's
+``e+XX`` or ``e-XXX`` right after the digits.  Its length follows from its
+last digit, its point and its exponent's width, and one assignment through
+an overlapping view of the output, a 25-byte item at every byte, copies
+each slot whole to its field's offset.  numpy assigns a 1-D integer index
+in index order, though it does not document it, so each field overwrites
+the unused tail of the slot before it; the tests pin that order at every
+pair of field lengths.  The separators are written last.  The tables are
+built on first use, and no BLAS routine is called, so a forked child may
+format.
 """
 
 from __future__ import annotations
@@ -45,13 +51,13 @@ def _tables():
         num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
         g.append((num << max(-r, 0)) // (den << max(r, 0)) + 1)
     suffix = b"".join((b"e%+03d" % x).ljust(5, b"\0") for x in range(-324, 309))
-    special = b"".join(name.ljust(_WIDTH - 1, b"\0") for name in (b"nan", b"-inf", b"inf"))
+    special = b"".join(name.ljust(4, b"\0") for name in (b"nan", b"-inf", b"inf"))
     tables = (
         np.array([x >> 63 for x in g], np.uint64),
         np.array([x & (2**63 - 1) for x in g], np.uint64),
         np.array([10**i for i in range(18)], np.uint64),
         np.frombuffer(suffix, "V5"),
-        np.frombuffer(special, np.uint8).reshape(3, _WIDTH - 1),
+        np.frombuffer(special, np.uint8).reshape(3, 4),
     )
     for table in tables:  # shared by every call
         table.flags.writeable = False
@@ -122,6 +128,8 @@ def format_block(block: np.ndarray) -> bytes:
     """The rows of ``block``, ',' between fields and '\\n' after each row."""
     rows, cols = block.shape
     m, width = rows * cols, _WIDTH
+    if not m:
+        return b"\n" * rows
     bits = np.ascontiguousarray(block, np.float64).view(np.uint64).ravel()
     pow10, suffix, special = _tables()[2:]
     f, e = _decimal(bits)
@@ -166,25 +174,35 @@ def format_block(block: np.ndarray) -> bytes:
         parts = halves.reshape(2 * len(halves), m)
     last = ((parts != 0) * np.arange(1, width, dtype=np.uint8)[:, None]).max(axis=0)
     # the point follows the integer part, or the first digit unless it is
-    # the only one; a lone digit's point is placed beyond the field
-    point = np.where(fixed, np.maximum(x, 0) + neg, np.where(last > neg + 1, neg, width)).astype(np.uint8)
-    # ASCII up to the last nonzero digit, and in fixed notation up to one
-    # after the point at least; NUL beyond
-    end = np.where(fixed, np.maximum(last, point + 2), last).astype(np.uint8)
-    digits += np.uint8(48) * (np.arange(width, dtype=np.uint8)[:, None] <= end)
-    # character p: digit p up to the point's place, '.', then digit p - 1
+    # the only one; a lone digit's point goes to place 24, past its field
+    point = np.where(fixed, np.maximum(x, 0) + neg, np.where(last > neg + 1, neg, width - 2)).astype(np.uint8)
+    # the field's bytes before its separator: up to the last nonzero digit,
+    # in fixed notation up to one after the point at least, and the point
+    length = np.where(fixed, np.maximum(last, point + 2), last) + (point < width - 2)
+    digits += np.uint8(48)
+    # character p: digit p up to the point's place, then digit p - 1, and
+    # '.' over the first of those
     at, before = digits[1:], digits[:-1]
     place = np.arange(width - 1, dtype=np.uint8)[:, None]
     text = np.empty((m, width), np.uint8)
-    text[:, :-1] = (before + (at - before) * (place <= point) + (np.uint8(46) - before) * (place == point + 1)).T
+    text[:, :-1] = (before + (at - before) * (place <= point)).T
+    text.ravel()[np.arange(1, m * width, width) + point] = ord(".")
     text[:, 0] -= 3 * neg  # the sign's '0' becomes '-'
     exp = np.flatnonzero(~fixed)
-    if exp.size:  # places 19-23 of each field as one 5-byte item
-        np.ndarray((m,), suffix.dtype, text, 19, (width,))[exp] = suffix[x[exp] + 324]
+    if exp.size:  # e+XX or e-XXX as one 5-byte item right after the digits
+        np.ndarray((m * width - 4,), suffix.dtype, text, 0, (1,))[exp * width + length[exp]] = suffix[x[exp] + 324]
+        length[exp] += np.uint8(4) + (np.abs(x[exp]) >= 100)
     if bad.size:
-        text[bad, :-1] = special[np.where(bits[bad] & _FRACTION, 0, 2 - neg[bad])]
-    sep = text.reshape(rows, cols, width)[:, :, -1]
-    sep[...] = ord(",")
-    sep[:, -1] = ord("\n")
-    flat = text.ravel()
-    return flat[flat != 0].tobytes()
+        name = np.where(bits[bad] & _FRACTION, 0, 2 - neg[bad])
+        text[bad, :4] = special[name]
+        length[bad] = 3 + (name == 1)
+    # every slot copied whole to its field's offset, in index order, so
+    # each field overwrites the unused tail of the one before (see above)
+    stop = np.cumsum(length + np.uint8(1), dtype=np.intp)
+    total = int(stop[-1])
+    out = np.empty(total + width, np.uint8)
+    slot = f"V{width}"
+    np.ndarray((total + 1,), slot, out, 0, (1,))[stop - length - 1] = text.view(slot).ravel()
+    out[stop - 1] = ord(",")
+    out[stop[cols - 1 :: cols] - 1] = ord("\n")
+    return out[:total].tobytes()

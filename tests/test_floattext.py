@@ -108,4 +108,51 @@ def test_layout_of_each_notation():
         b"1.0,2.0,3.0,4.0,5.0,6.0,nan\n"
         b"1.0,2.0,3.0,4.0,5.0,6.0,-inf\n"
     )
-    assert format_block(np.empty((0, 3))) == b""
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_blocks(shape):
+    block = np.empty(shape)
+    assert format_block(block) == repr_join(block) == b"\n" * shape[0]
+
+
+# one or more values for every repr length from 3 to 24 characters
+CATALOGUE = [
+    np.nan, np.inf, 0.0, 0.5,
+    -np.inf, -0.0, 12.5,
+    1e16, 1e-05,
+    5e-324, 0.0001, -7e22,
+    -5e-324, 3.14159,
+    -1.5e-05, -271.828,
+    -2.5e-100, 1.25e100,
+    123456.789,
+    299792458.0,
+    -299792458.0,
+    -12345.678901,
+    6.02214076e23, 0.000123456789,
+    1.602176634e-19,
+    -1.602176634e-19,
+    0.123456789012345,
+    0.3333333333333333, 1e15,
+    -0.6666666666666666, -1e15,
+    0.012345678901234567,
+    -0.012345678901234567,
+    1.2345678901234567e20,
+    2.2250738585072014e-308, 1.7976931348623157e308, -0.00012345678901234567,
+    -1.2345678901234567e-308,
+]  # fmt: skip
+
+
+def test_packed_neighbours():
+    # each field is packed right after the one before, over the unused tail
+    # of that one's 25 places, so every length must sit next to every other,
+    # within a row and across a row's end
+    assert {len(repr(v)) for v in CATALOGUE} == set(range(3, 25))
+    first, second = np.meshgrid(CATALOGUE, CATALOGUE)
+    pairs = np.column_stack([first.ravel(), second.ravel()]).ravel()
+    for cols in (1, 2, 7):
+        block = np.resize(pairs, (-(-len(pairs) // cols), cols))
+        assert format_block(block) == repr_join(block), cols
+    # 3 and 4 characters: each field's slot reaches over the next five
+    short = np.random.default_rng(36).choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, 1.0, -2.0, 12.5], (400, 7))
+    assert format_block(short) == repr_join(short)
