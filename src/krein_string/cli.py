@@ -204,11 +204,12 @@ def _control_waveform(descriptor: str, grid: TimeGrid) -> Waveform:
     name, _, width = descriptor.partition(":")
     if name == "delta":
         try:
-            return mollified_delta(grid, float(width) if width else 0.02)
+            value = float(width) if width else 0.02
         except ValueError:
-            raise ValueError(
-                f"--control delta width must be finite and positive, got {width!r}"
-            ) from None
+            value = np.nan
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"--control delta width must be finite and positive, got {width!r}")
+        return mollified_delta(grid, value)
     xi = uniform.parse_test_function(descriptor)
     return Waveform(grid=grid, values=np.asarray(xi(grid.times), dtype=float))
 

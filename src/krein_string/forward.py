@@ -310,9 +310,12 @@ def mollified_delta(grid: TimeGrid, width: float) -> Waveform:
     the pulse is causal on the grid."""
     if not (np.isfinite(width) and width > 0.0):
         raise ValueError(f"width must be finite and positive, got {width!r}")
+    scale = float(width) * math.sqrt(2.0 * math.pi)
+    if not math.isfinite(1.0 / scale):
+        raise ValueError(f"delta width {width!r} puts the peak 1/(width sqrt(2 pi)) past the largest float")
     t = grid.times
     with np.errstate(over="ignore"):  # exp(-inf) = 0 at a huge horizon
-        vals = np.exp(-0.5 * ((t - 5.0 * width) / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
+        vals = np.exp(-0.5 * ((t - 5.0 * width) / width) ** 2) / scale
     return Waveform(grid=grid, values=vals)
 
 

@@ -75,7 +75,8 @@ class DiscretizedConnector:
     y and one inverse: the Hankel half's index reversal is the spectrum
     exp(-2 pi i (2n k mod L) / L) conj(P^) conj(y^), and the Toeplitz half's
     spectrum is real because sym is even.  Both spectra are computed once,
-    here, with the scale folded in.
+    here, with the scale folded in, and a spectrum that overflows (r or
+    1/(2 l_1) too large) is refused with ``GridError``.
     """
 
     grid: TimeGrid
@@ -102,12 +103,20 @@ class DiscretizedConnector:
         shift = np.exp((-2j * np.pi / length) * ((2 * n * np.arange(length // 2 + 1)) % length))
         weights = _trapezoid_weights(n, self.grid.dt)
         weights.flags.writeable = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            hankel = self.scale * shift * np.conj(np.fft.rfft(cumulative, length))
+            toeplitz = self.scale * np.fft.rfft(sym).real
+        if not (np.all(np.isfinite(hankel)) and np.all(np.isfinite(toeplitz))):
+            raise GridError(
+                f"the connector's FFT spectra overflow: 1/(2 l1) = {self.scale!r} and "
+                f"max |P| = {float(np.max(np.abs(cumulative)))!r} for P the antiderivative of r"
+            )
         for name, value in (
             ("cumulative", cumulative),
             ("quad_weights", weights),
             ("_fft_length", length),
-            ("_hankel_spectrum", self.scale * shift * np.conj(np.fft.rfft(cumulative, length))),
-            ("_toeplitz_spectrum", self.scale * np.fft.rfft(sym).real),
+            ("_hankel_spectrum", hankel),
+            ("_toeplitz_spectrum", toeplitz),
         ):
             object.__setattr__(self, name, value)
 
@@ -183,7 +192,8 @@ def build_connector(r: Waveform, l1: float, grid: TimeGrid) -> DiscretizedConnec
             f"{float(r.values[i])!r}; the kernel needs finite samples"
         )
     q = r.grid.n_steps // (2 * n)
-    cumulative = _cumulative_trapezoid(r.values, r.grid.dt)[::q]
+    with np.errstate(over="ignore"):  # the connector refuses a P that overflows
+        cumulative = _cumulative_trapezoid(r.values, r.grid.dt)[::q]
     return DiscretizedConnector(grid=grid, cumulative=cumulative, scale=1.0 / (2.0 * l1))
 
 

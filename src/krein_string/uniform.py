@@ -138,12 +138,19 @@ def gaussian_bump(center: float, width: float) -> TestFunction:
         with np.errstate(over="ignore"):
             return np.exp(-0.5 * ((t - c) / w) ** 2)
 
+    # w**2 is subnormal below w = 1.5e-154 and 0 below 1.6e-162, where w
+    # divides twice; where the bump underflows to 0, the quotient may
+    # overflow, and the slope is a zero with the sign of c - t
     def deriv(t):
-        return -((t - c) / w**2) * fn(t)
+        t = np.asarray(t, dtype=float)
+        value = fn(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = (t - c) / w**2 if w**2 >= np.finfo(float).tiny else (t - c) / w / w
+            return np.where(value == 0.0, -(t - c) * value, -ratio * value)
 
     def tail(t):
-        with np.errstate(over="ignore"):
-            return 1.0 if t <= c else float(np.exp(-0.5 * ((t - c) / w) ** 2))
+        # a float's square raises OverflowError, an np.float64's gives inf
+        return 1.0 if t <= c else float(fn(np.float64(t)))
 
     return TestFunction(fn, deriv, tail)
 

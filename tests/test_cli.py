@@ -1,3 +1,4 @@
+import itertools
 import os
 import shlex
 import subprocess
@@ -30,7 +31,14 @@ from krein_string.cli import (
     _write_csv,
     main,
 )
-from krein_string.uniform import image_sum, parse_test_function, uniform_eigen
+from krein_string.uniform import (
+    image_sum,
+    pair_corrected_response,
+    pair_response,
+    pair_solution_with_sine,
+    parse_test_function,
+    uniform_eigen,
+)
 
 SPEC_TEXT = "lengths=0.2,0.3,0.5\nmasses=1.0,2.0\n"
 
@@ -58,11 +66,8 @@ def run(*argv):
 def test_spectral_command(tmp_path, spec_file):
     out = tmp_path / "out"
     assert run("spectral", "--spec", spec_file, "--out", str(out)) == 0
-    lines = (out / "spectral.csv").read_text().splitlines()
-    assert lines[0].startswith("# krein-string spectral")
-    assert lines[1] == "k,lambda,omega"
-    rows = [line.split(",") for line in lines[2:]]
-    assert len(rows) == 2
+    header, rows = csv_fields(out / "spectral.csv")
+    assert header == ["k", "lambda", "omega"] and len(rows) == 2
     assert float(rows[0][1]) < float(rows[1][1]) < 0.0
 
 
@@ -148,15 +153,17 @@ def test_response_and_invert_round_trip(tmp_path, spec_file):
 
 @pytest.fixture
 def small_response(tmp_path):
-    """r = sin 2t (one unit mass, l_1 = 0.5) on [0, 2] in 200 steps, or on
-    [start, 2] when ``start`` moves the first sample off t = 0."""
+    """r = scale sin 2t (at scale 1, one unit mass, l_1 = 0.5) on [0, 2] in
+    200 steps, or on [start, 2] when ``start`` moves the first sample off
+    t = 0; ``wave`` stands in for sin.  Each call writes a file of its own."""
+    names = itertools.count()
 
-    def write(bad_index=None, start=0.0):
+    def write(bad_index=None, start=0.0, scale=1.0, wave=np.sin):
         t = np.linspace(start, 2.0, 201)
-        r = np.sin(2.0 * t)
+        r = scale * wave(2.0 * t)
         if bad_index is not None:
             r[bad_index] = np.nan
-        path = tmp_path / "response.csv"
+        path = tmp_path / f"response{next(names)}.csv"
         rows = [f"{a:.17g},{b:.17g}" for a, b in zip(t, r)]
         path.write_text("\n".join(["# test", "t,r", *rows]) + "\n", encoding="utf-8")
         return str(path)
@@ -250,6 +257,10 @@ REFUSALS = [
     (f"{ROUNDTRIP} --noise 1e-9 --seed -1", 2, "--seed must be non-negative, got -1\n"),
     *((f"{FORWARD} --control delta:{w}", 2, f"--control delta width must be finite and positive, got '{w}'\n")
       for w in ("abc", "0", "-0.02", "nan")),
+    # a width whose peak 1/(w sqrt(2 pi)) overflows would write NaN rows
+    *((f"{FORWARD} --control delta:1e-320{solver}", 2,
+       "delta width 1e-320 puts the peak 1/(width sqrt(2 pi)) past the largest float\n")
+      for solver in ("", " --solver ode")),
     (f"{FORWARD} --control deltafoo", 2, "unknown test function 'deltafoo'\n"),
     (f"{FORWARD} --control gauss:0.3,0", 2, f"{BAD_XI} 'gauss:0.3,0': "),
     (f"{SWEEP} 3 --N 8 --xi gauss:0.0,0", 2, f"{BAD_XI} 'gauss:0.0,0': "),
@@ -279,6 +290,13 @@ REFUSALS = [
     ("roundtrip --spec {spec} --T 2.0 --steps 1", 2, "recovery of rank 1 needs more than 2 steps, got 1 "),
     ("roundtrip --spec {spec} --T 2.0 --steps 2", 2, "recovery of rank 2 needs more than 3 steps, got 2 "),
     ("roundtrip --spec {spec} --T 2.0 --steps 3", 2, "recovery of rank 2 needs more than 3 steps, got 3 "),
+    # a response or an l1 that overflows the connector's spectra, which the
+    # factorization would meet as NaN and not converge on
+    ("invert --response {flat_response} --l1 0.5 --steps 100", 2,
+     "the connector's FFT spectra overflow: 1/(2 l1) = 1.0 and max |P| = inf "),
+    ("invert --response {loud_response} --l1 0.5 --steps 100", 2,
+     "the connector's FFT spectra overflow: 1/(2 l1) = 1.0 and max |P| = 9.99"),
+    (f"{INVERT} --steps 100 --l1 1e-320", 2, "the connector's FFT spectra overflow: 1/(2 l1) = inf "),
     (f"{INVERT} --steps 1", 2, "recovery of rank 1 needs more than 2 steps, got 1 "),
     (f"{INVERT} --steps 2", 2, "recovery of rank 1 needs more than 2 steps, got 2 "),
     *((f"forward --spec {{spec}} --T 2.0 --solver ode --steps {steps}", 2,
@@ -316,7 +334,11 @@ def test_refusal(argv, code, detail, tmp_path, spec_file, small_response, capfd,
     # traceback, no warning and no output directory
     bad_spec = tmp_path / "bad.txt"
     bad_spec.write_text("lengths=0.5,-0.5\nmasses=1.0\n", encoding="utf-8")
-    paths = {"spec": spec_file, "response": small_response(), "bad_spec": str(bad_spec)}
+    paths = {
+        "spec": spec_file, "bad_spec": str(bad_spec), "response": small_response(),
+        "flat_response": small_response(scale=1e308, wave=np.ones_like),
+        "loud_response": small_response(scale=1e307),
+    }
     out = tmp_path / "out"
     assert main([arg.format(**paths) for arg in argv.split()] + ["--out", str(out)]) == code
     err = capfd.readouterr().err
@@ -346,7 +368,8 @@ def test_strings_whose_modes_agree_to_rounding_run(tmp_path, capsys):
         clustered.write_text(text, encoding="utf-8")
         assert run("spectral", "--spec", str(clustered), "--out", str(tmp_path)) == 0
         forward = ("forward", "--spec", str(clustered), "--T", "4", "--steps", "800")
-        assert run(*forward, "--control", "delta:0.1", "--out", str(tmp_path)) == 0
+        for solver in ("spectral", "ode"):
+            assert run(*forward, "--control", "delta:0.1", "--solver", solver, "--out", str(tmp_path)) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -361,8 +384,7 @@ def test_linalg_failure_is_numerical(tmp_path, small_response, capsys, monkeypat
 
 def test_roundtrip_command(tmp_path, spec_file, capsys):
     out = tmp_path / "out"
-    code = run("roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "1200", "--out", str(out))
-    assert code == 0
+    assert run("roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "1200", "--out", str(out)) == 0
     summary = capsys.readouterr().out.strip().splitlines()[-1]
     assert summary.startswith("max_rel_err_m=")
     err_m = float(summary.split()[0].split("=")[1])
@@ -378,11 +400,19 @@ def test_roundtrip_command(tmp_path, spec_file, capsys):
 
 def test_uniform_sweep_command(tmp_path):
     out = tmp_path / "out"
-    code = run("uniform-sweep", "--prop", "2", "--N", "8,16", "--xi", "gauss:0.0,0.3", "--out", str(out))
-    assert code == 0
+    assert run("uniform-sweep", "--prop", "2", "--N", "8,16", "--xi", "gauss:0.0,0.3", "--out", str(out)) == 0
     rows = np.loadtxt(out / "uniform_prop2.csv", delimiter=",", skiprows=2)
     assert rows.shape == (2, 4)
     assert rows[0, 3] > rows[1, 3]  # error shrinks with N
+
+
+@pytest.mark.parametrize("xi", ["gauss:0.0,1e-300", "gauss:0.5,1e-300"])
+def test_a_bump_whose_width_squared_underflows_sweeps(xi, tmp_path, recwarn):
+    # w**2 underflows to 0 here, and the bump itself to 0 away from its centre
+    out = tmp_path / "out"
+    assert run("uniform-sweep", "--prop", "3", "--N", "8,16", "--xi", xi, "--out", str(out)) == 0
+    assert np.all(np.isfinite(csv_floats(out / "uniform_prop3.csv")))
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_uniform_prop1_sums_only_the_compared_components(tmp_path):
@@ -420,13 +450,11 @@ def test_coarse_grid_names_the_smallest_step_count_that_passes(
 
 
 def test_byte_identical_reruns(tmp_path, spec_file):
+    # the same argv twice writes the same bytes (test_output reruns the echo)
     out = tmp_path / "out"
     args = ("roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "900", "--out", str(out))
-    assert run(*args) == 0
-    first = {name: (out / name).read_bytes() for name in ("recovery.csv", "singular_values.csv")}
-    assert run(*args) == 0
-    for name, body in first.items():
-        assert (out / name).read_bytes() == body
+    runs = [(run(*args), {path.name: path.read_bytes() for path in out.iterdir()}) for _ in range(2)]
+    assert runs[0][0] == 0 and runs[1] == runs[0]
 
 
 def test_repeated_main_calls_keep_no_state(tmp_path, spec_file):
@@ -482,13 +510,13 @@ def test_write_csv_writes_what_fmt_writes(tmp_path):
     assert written[1:4] == ["-0.0", "inf", "nan"]
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["iterator", "list", "table"])
+@pytest.mark.parametrize("kind, cpus", [("iterator", 3), ("list", 3), ("table", 1), ("table", 2), ("table", 3)])
 @pytest.mark.parametrize("n_rows", [3 * _MIN_PART_FIELDS // 4 + 1001, 0])
 def test_write_csv_writes_the_one_shot_bytes(tmp_path, monkeypatch, n_rows, kind, cpus):
     # a table of 3 * _MIN_PART_FIELDS fields and more (24.5 blocks) is
     # formatted a block at a time in one part per usable CPU, up to three;
-    # a list or an iterator of rows streams in one pass and never forks.  The
+    # a list or an iterator of rows streams in one pass and never forks,
+    # before the CPUs are counted, so one CPU count is enough for them.  The
     # file is what one join of every line's repr wrote, also for a
     # header-only table
     forks = []
@@ -613,125 +641,138 @@ def test_forward_peak_memory(tmp_path):
         assert peak < bound, (extra, peak / 2**20)
 
 
-def test_forward_and_response_columns_are_the_library_arrays(tmp_path, spec_file):
-    spec = read_spec_file(spec_file)
-    mats = build_matrices(spec)
-    data = compute_spectral_data(mats)
-    l1 = float(spec.lengths[0])
-    grid = TimeGrid(1.0, 800)
-    control = Waveform(grid, parse_test_function("gauss:0.3,0.1")(grid.times))
-    common = ["--spec", spec_file, "--T", "1.0", "--steps", "800"]
-    gauss = ["--control", "gauss:0.3,0.1"]
-    cases = {
-        "spectral": (gauss, solve_forward_spectral(mats, data, control, l1)),
-        "delta": ([], solve_forward_delta(data, l1, grid)),
-        "ode": ([*gauss, "--solver", "ode"], solve_forward_ode(mats, control, l1)),
-    }
-    for name, (extra, traj) in cases.items():
-        out = tmp_path / name
-        assert run("forward", *common, *extra, "--out", str(out)) == 0
-        got = csv_floats(out / "trajectory.csv")
-        assert np.array_equal(got, np.column_stack([grid.times, traj.states])), name
-
-    out = tmp_path / "response"
-    assert run("response", "--spec", spec_file, "--T", "4.0", "--steps", "2000", "--out", str(out)) == 0
-    fine = TimeGrid(4.0, 2000)
-    r = response_function(data, l1, fine)
-    assert np.array_equal(csv_floats(out / "response.csv"), np.column_stack([fine.times, r.values]))
-
-    out = tmp_path / "spectral"
-    assert run("spectral", "--spec", spec_file, "--out", str(out)) == 0
-    k = np.arange(1, data.n_modes + 1)
-    expected = np.column_stack([k, data.eigenvalues, data.weights])
-    assert np.array_equal(csv_floats(out / "spectral.csv"), expected)
-
-
-def test_every_command_writes_the_csv_contract(tmp_path, spec_file):
-    out = tmp_path / "out"
-    assert run("roundtrip", "--spec", spec_file, "--T", "2.0", "--steps", "1200", "--out", str(out)) == 0
-    for name in ("recovery.csv", "singular_values.csv"):
-        csv_fields(out / name)
-    sweeps = {"1": [], "2": ["--xi", "gauss:0.0,0.3"], "3": ["--xi", "gauss:0.0,0.3"], "4": ["--k", "2"]}
-    for prop, extra in sweeps.items():
-        assert run("uniform-sweep", "--prop", prop, "--N", "8,16", *extra, "--out", str(out)) == 0
-        header, rows = csv_fields(out / f"uniform_prop{prop}.csv")
-        assert header == ["N", "target", "value", "abs_error"]
-        assert [row[0] for row in rows] == ["8", "16"]
-
-
 # ---------------------------------------------------------------------------
-# Header lines: the configuration echo every CSV opens with, pinned byte for
-# byte; {spec}, {response} and {out} stand for the shell-quoted paths of each
-# run.  Each header is the command line that reruns its files.
+# Outputs of a command line, one row each: an argv (split on spaces before
+# its {spec} and {response} are filled in), each file it writes with its
+# header line, the echo line every one of them opens with ({spec},
+# {response} and {out} stand for the shell-quoted paths of the run), and
+# library_columns where the library gives the array that the columns of the
+# row's one file must equal (None elsewhere).  The tables of the LONG rows,
+# 2^17 fields and more, are split across CPUs.  Each echo is the command
+# line that reruns its files.
 
-GOLDEN_HEADERS = {
+LONG = "--steps 70000"
+
+
+def library_columns(args):
+    """The library's array that the columns of a run's one CSV must equal."""
+    if args.command == "uniform-sweep":
+        ns = [int(n) for n in args.N.split(",")]
+        xi = parse_test_function(args.xi)
+        if args.prop == 4:
+            target, values = np.sin(args.k * args.t), [pair_solution_with_sine(n, args.t, args.k) for n in ns]
+        elif args.prop == 3:
+            target, values = xi.derivative(0.0), [pair_corrected_response(n, xi).value for n in ns]
+        else:
+            target, values = xi(0.0), [pair_response(n, xi).value for n in ns]
+        return np.column_stack([ns, np.full(len(ns), target), values, np.abs(np.subtract(values, target))])
+    spec = read_spec_file(args.spec)
+    mats = build_matrices(spec)
+    data, l1 = compute_spectral_data(mats), float(spec.lengths[0])
+    if args.command == "spectral":
+        return np.column_stack([np.arange(1, data.n_modes + 1), data.eigenvalues, data.weights])
+    grid = TimeGrid(args.T, args.steps)
+    if args.command == "response":
+        return np.column_stack([grid.times, response_function(data, l1, grid).values])
+    if args.control == "delta":
+        return np.column_stack([grid.times, solve_forward_delta(data, l1, grid).states])
+    control = Waveform(grid, parse_test_function(args.control)(grid.times))
+    if args.solver == "ode":
+        return np.column_stack([grid.times, solve_forward_ode(mats, control, l1).states])
+    return np.column_stack([grid.times, solve_forward_spectral(mats, data, control, l1).states])
+
+
+TRAJECTORY = {"trajectory.csv": "t,u_1,u_2"}
+RECOVERY = {"recovery.csv": "k,m_k,b_k,a_k,l_k,residual_k,cond_k", "singular_values.csv": "i,sigma_i"}
+
+OUTPUTS = {
     "spectral": (
-        ["spectral", "--spec", "{spec}", "--out", "{out}"],
-        "spectral.csv",
-        "# krein-string spectral --spec {spec} --out {out}",
+        "spectral --spec {spec}", {"spectral.csv": "k,lambda,omega"},
+        "spectral --spec {spec} --out {out}", library_columns,
     ),
     "forward-spectral": (
-        ["forward", "--spec", "{spec}", "--T", "1.0", "--steps", "800", "--out", "{out}"],
-        "trajectory.csv",
-        "# krein-string forward --spec {spec} --T 1.0 --steps 800 --control delta "
-        "--solver spectral --out {out}",
+        f"forward --spec {{spec}} --T 1.0 {LONG}", TRAJECTORY,
+        f"forward --spec {{spec}} --T 1.0 {LONG} --control delta --solver spectral --out {{out}}",
+        library_columns,
+    ),
+    "forward-gauss": (
+        f"forward --spec {{spec}} --T 1.0 {LONG} --control gauss:0.3,0.1", TRAJECTORY,
+        f"forward --spec {{spec}} --T 1.0 {LONG} --control gauss:0.3,0.1 --solver spectral --out {{out}}",
+        library_columns,
     ),
     "forward-ode": (
-        ["forward", "--spec", "{spec}", "--T", "1", "--steps", "800",
-         "--control", "gauss:0.3,0.1", "--solver", "ode", "--out", "{out}"],
-        "trajectory.csv",
-        "# krein-string forward --spec {spec} --T 1.0 --steps 800 "
-        "--control gauss:0.3,0.1 --solver ode --out {out}",
+        f"forward --spec {{spec}} --T 1 {LONG} --control gauss:0.3,0.1 --solver ode", TRAJECTORY,
+        f"forward --spec {{spec}} --T 1.0 {LONG} --control gauss:0.3,0.1 --solver ode --out {{out}}",
+        library_columns,
     ),
     "response": (
-        ["response", "--spec", "{spec}", "--T", "4.0", "--steps", "2000", "--out", "{out}"],
-        "response.csv",
-        "# krein-string response --spec {spec} --T 4.0 --steps 2000 --out {out}",
+        f"response --spec {{spec}} --T 1.0 {LONG}", {"response.csv": "t,r"},
+        f"response --spec {{spec}} --T 1.0 {LONG} --out {{out}}", library_columns,
     ),
     "invert": (
-        ["invert", "--response", "{response}", "--l1", "0.5", "--steps", "100",
-         "--out", "{out}"],
-        "recovery.csv",
-        "# krein-string invert --response {response} --l1 0.5 --steps 100 "
-        "--threshold 1e-08 --out {out}",
+        "invert --response {response} --l1 0.5 --steps 100", RECOVERY,
+        "invert --response {response} --l1 0.5 --steps 100 --threshold 1e-08 --out {out}", None,
     ),
     "roundtrip": (
-        ["roundtrip", "--spec", "{spec}", "--T", "2.0", "--steps", "900", "--out", "{out}"],
-        "recovery.csv",
-        "# krein-string roundtrip --spec {spec} --T 2.0 --steps 900 --oversample 8 "
-        "--noise 0.0 --seed 0 --threshold 1e-08 --out {out}",
+        "roundtrip --spec {spec} --T 2.0 --steps 900", RECOVERY,
+        "roundtrip --spec {spec} --T 2.0 --steps 900 --oversample 8 --noise 0.0 --seed 0 "
+        "--threshold 1e-08 --out {out}",
+        None,
     ),
     "roundtrip-noisy": (
-        ["roundtrip", "--spec", "{spec}", "--T", "2.0", "--steps", "900",
-         "--noise", "1e-6", "--seed", "3", "--threshold", "1e-4", "--out", "{out}"],
-        "recovery.csv",
-        "# krein-string roundtrip --spec {spec} --T 2.0 --steps 900 --oversample 8 "
-        "--noise 1e-06 --seed 3 --threshold 0.0001 --out {out}",
+        "roundtrip --spec {spec} --T 2.0 --steps 900 --noise 1e-6 --seed 3 --threshold 1e-4", RECOVERY,
+        "roundtrip --spec {spec} --T 2.0 --steps 900 --oversample 8 --noise 1e-06 --seed 3 "
+        "--threshold 0.0001 --out {out}",
+        None,
     ),
-    "uniform-sweep": (
-        ["uniform-sweep", "--prop", "4", "--N", "8,16", "--k", "2", "--out", "{out}"],
-        "uniform_prop4.csv",
-        "# krein-string uniform-sweep --prop 4 --N 8,16 --xi gauss:0.0,0.3 --t 0.3 "
-        "--k 2 --out {out}",
-    ),
+    **{
+        f"uniform-sweep-{prop}": (
+            f"uniform-sweep --prop {prop} --N 8,16{extra}",
+            {f"uniform_prop{prop}.csv": "N,target,value,abs_error"},
+            f"uniform-sweep --prop {prop} --N 8,16 --xi {xi} --t 0.3 --k {k} --out {{out}}", columns,
+        )
+        for prop, extra, xi, k, columns in [
+            (1, "", "gauss:0.0,0.3", 1, None),
+            (2, "", "gauss:0.0,0.3", 1, library_columns),
+            (3, " --xi gauss:0.4,0.3", "gauss:0.4,0.3", 1, library_columns),
+            (4, " --k 2", "gauss:0.0,0.3", 2, library_columns),
+        ]
+    },
 }
 
 
-@pytest.mark.parametrize("case", list(GOLDEN_HEADERS))
-def test_golden_header(case, tmp_path, spec_file, small_response):
-    argv, name, header = GOLDEN_HEADERS[case]
-    paths = {"spec": spec_file, "response": small_response(), "out": str(tmp_path / "out")}
-    assert run(*(arg.format(**paths) for arg in argv)) == 0
-    files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
-    lines = {file_name: body.decode("utf-8").splitlines()[0] for file_name, body in files.items()}
-    header = header.format(**{key: shlex.quote(path) for key, path in paths.items()})
-    assert lines[name] == header
-    # every CSV of one run echoes the same configuration
-    assert set(lines.values()) == {header}
-    # and the echo, fed back to the command line, rewrites every file as it was
-    assert run(*shlex.split(header.removeprefix("# krein-string "))) == 0
-    for file_name, body in files.items():
-        assert (tmp_path / "out" / file_name).read_bytes() == body, file_name
+@pytest.mark.parametrize("case", list(OUTPUTS))
+def test_output(case, tmp_path, monkeypatch, spec_file, small_response):
+    # exit 0, with no child left; each file opens with the echo and its
+    # header, and its fields have csv_fields' form; a row's columns are the
+    # library's; a LONG row's table, and only that, is split; and the echo,
+    # rerun at one usable CPU where the first run had three, rewrites every
+    # file byte for byte
+    argv, files, echo, columns = OUTPUTS[case]
+    out = tmp_path / "out"
+    paths = {"spec": spec_file, "response": small_response(), "out": str(out)}
+    argv = [arg.format(**paths) for arg in argv.split()] + ["--out", str(out)]
+    echo = echo.format(**{key: shlex.quote(path) for key, path in paths.items()})
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def written(cpus, command):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert main(command) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    first = written(3, argv)
+    assert sorted(first) == sorted(files)
+    for name, header in files.items():
+        assert first[name].decode("utf-8").splitlines()[:2] == [f"# krein-string {echo}", header]
+        _, rows = csv_fields(out / name)
+    if columns:
+        assert np.array_equal(np.array(rows, dtype=float), columns(cli.build_parser().parse_args(argv)))
+    assert bool(forks) == (LONG in " ".join(argv))
+    assert written(1, shlex.split(echo)) == first
 
 
 def test_only_roundtrip_takes_a_seed(tmp_path, spec_file, capsys):
