@@ -4,11 +4,13 @@
 The values: 2M seeded random 64-bit patterns (every class of double, about
 3% of them in fixed notation), every integer in [-2**20, 2**20], 1M seeded
 normals log-uniform in [1e-20, 1e17] at both signs (where the CLI's tables'
-values lie, fixed notation or not), and every 10**k, k = -307...307, with
-both neighbours at both signs (where the digit count flips between 16 and
-17).  A third of each set goes through 1-, 3- and 7-column blocks of 2**14
-rows.  The first mismatch stops the run with exit 1 and names its row.
-The tier-1 hypothesis test sees about 30k values a run.
+values lie, fixed notation or not), every 10**k, k = -307...307, with both
+neighbours at both signs (where the digit count flips between 16 and 17),
+and every 2**k, k = -1074...1023, with both neighbours at both signs (the
+normal ones from the digit core's shorter interval).  A third of each set
+goes through 1-, 3- and 7-column blocks of 2**14 rows.  The first mismatch
+stops the run with exit 1 and names its row.  The tier-1 hypothesis test
+sees about 30k values a run.
 
     python scripts/check_float_text.py
 """
@@ -31,11 +33,14 @@ def main() -> int:
     normals = np.exp(np.random.default_rng(2021).uniform(np.log(1e-20), np.log(1e17), 500_000))
     tens = np.array([float(f"1e{k}") for k in range(-307, 308)])
     tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    twos = np.concatenate([twos, np.nextafter(twos, 0.0), np.nextafter(twos, np.inf)])
     for name, values in (
         ("random patterns", patterns.view(np.float64)),
         ("integers", integers),
         ("log-uniform normals", np.concatenate([normals, -normals])),
         ("powers of ten", np.concatenate([tens, -tens])),
+        ("powers of two", np.concatenate([twos, -twos])),
     ):
         for third, cols in enumerate((1, 3, 7)):
             part = values[third::3]

@@ -41,6 +41,7 @@ from .forward import (
     TimeGrid,
     Waveform,
     _impulse_response,
+    check_pulse_mass,
     mollified_delta,
     response_function,
     solve_forward_delta,
@@ -209,6 +210,10 @@ def _control_waveform(descriptor: str, grid: TimeGrid) -> Waveform:
             value = np.nan
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"--control delta width must be finite and positive, got {width!r}")
+        # a width given here must give a unit-mass pulse on the grid; the
+        # default runs the RK4 oracle on any grid, down to 3 steps
+        if width:
+            check_pulse_mass(grid, value)
         return mollified_delta(grid, value)
     xi = uniform.parse_test_function(descriptor)
     return Waveform(grid=grid, values=np.asarray(xi(grid.times), dtype=float))
@@ -396,7 +401,10 @@ def _cmd_uniform_sweep(args, echo: str) -> int:
             target, pair = float(xi(0.0)), uniform.pair_response
         else:
             target, pair = float(xi.derivative(0.0)), uniform.pair_corrected_response
-        values = [pair(n, xi).value for n in ns]
+        # smallest N first: a test function narrower than the pairing's step,
+        # 0.05 / 2N in t, is refused there, naming a width that every N takes
+        pairs = {n: pair(n, xi).value for n in sorted(ns)}
+        values = [pairs[n] for n in ns]
     elif args.prop == 4:
         # the ladder's argument is 2 N t
         if not (0.0 < args.t < np.inf and np.isfinite(2.0 * max(ns) * args.t)):

@@ -3,27 +3,37 @@
 ``format_block(block)`` equals
 ``"".join(",".join(map(repr, row)) + "\\n" for row in block.tolist())``
 encoded as ASCII ``bytes``, with no Python float or string per field.  The
-digits of every finite value, integers included, are Schubfach's (R.
-Giulietti, "The Schubfach way to render doubles", 2020; the JDK's
-``Double.toString``), the shortest decimal that reads back to v and the
-closest on a tie, in 64-bit integer arithmetic over uint64 arrays; without
-Java's two-digit minimum, the one-digit shortening is tried for every
-s >= 10.  A normal value's digit string has 16 or 17 digits, so its count
-is one compare; only zeros, subnormals, infinities and nan, picked by
-their biased exponent (0 or 0x7FF), are counted digit by digit on a side
-path, which also gives a zero, an infinity or nan f = 0 before their text
-is written.  Each field is laid out once in its own 25-place slot of a
-uint8 array of (fields x 25 places): sign, digits and point from place 0 (a
-lone digit in exponent notation takes no point), then an exponent's
-``e+XX`` or ``e-XXX`` right after the digits.  Its length follows from its
-last digit, its point and its exponent's width, and one assignment through
-an overlapping view of the output, a 25-byte item at every byte, copies
-each slot whole to its field's offset.  numpy assigns a 1-D integer index
-in index order, though it does not document it, so each field overwrites
-the unused tail of the slot before it; the tests pin that order at every
-pair of field lengths.  The separators are written last.  The tables are
-built on first use, and no BLAS routine is called, so a forked child may
-format.
+digits of every finite value, integers included, are Dragonbox's (J. Jeon,
+"Dragonbox: A New Floating-Point Binary-to-Decimal Conversion Algorithm",
+2020), the shortest decimal that reads back to v and the closest on a tie,
+in 64-bit integer arithmetic over uint64 arrays.  Each value takes one
+product through 32-bit limbs, z = floor((2c + 1) 2**beta phi / 2**128) of
+its significand c with a 128-bit power of ten: the rounding interval's
+right end in units of 10**(e - 2), e = floor(q log10 2) for v = c 2**q.
+With r = z mod 1000 and delta the interval's width in those units (100 to
+999), r < delta keeps 10 (z // 1000) and r > delta the nearest at ten
+times the scale.  One ``np.flatnonzero`` subset settles the rest: r == 0,
+where an odd c's right end is out if z is exact; r == delta, where the
+left end decides; and z - delta/2 halfway between two candidates, where
+the parity of y = v 10**(2 - e) decides and an integral y goes to the even
+digit; the last two from a second product, of 2c - 1 and 2c.  Powers of
+two, whose interval is shorter below than above, take digits that
+Dragonbox's shorter-interval case gives when the tables are built.  A
+normal value's f has 16 or 17 digits, so its count is one compare; only
+zeros, subnormals, infinities and nan, picked by their biased exponent (0
+or 0x7FF), are counted digit by digit on a side path, which also gives a
+zero, an infinity or nan f = 0 before their text is written.  Each field
+is laid out once in its own 25-place slot of a uint8 array of (fields x 25
+places): sign, digits and point from place 0 (a lone digit in exponent
+notation takes no point), then an exponent's ``e+XX`` or ``e-XXX`` right
+after the digits.  Its length follows from its last digit, its point and
+its exponent's width, and one assignment through an overlapping view of
+the output, a 25-byte item at every byte, copies each slot whole to its
+field's offset.  numpy assigns a 1-D integer index in index order, though
+it does not document it, so each field overwrites the unused tail of the
+slot before it; the tests pin that order at every pair of field lengths.
+The separators are written last.  The tables are built on first use, and
+no BLAS routine is called, so a forked child may format.
 """
 
 from __future__ import annotations
@@ -35,93 +45,118 @@ import numpy as np
 _U = np.uint64
 _LOW32, _LOW63 = _U(2**32 - 1), _U(2**63 - 1)
 _FRACTION, _EXPONENT = _U(2**52 - 1), _U(0x7FF << 52)
-_K_MIN = -324  # decimal exponents k of the 10**-k table run from -324 to 292
 _WIDTH = 25  # the longest field, "-1.2345678901234567e-308", and its separator
 
 
 @cache
-def _tables():
-    """g = floor(10**-k 2**-r) + 1, r = floor(-k log2(10)) - 125, as its high
-    and its low 63 bits in two contiguous arrays (``np.take`` from each is
-    several times faster than a column gather from one 2-D table); powers of
-    ten; suffixes e-324 to e+308; nan, -inf, inf."""
-    g = []
-    for k in range(_K_MIN, 293):
-        r = (-k * 913124641741 >> 38) - 125
-        num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
-        g.append((num << max(-r, 0)) // (den << max(r, 0)) + 1)
-    suffix = b"".join((b"e%+03d" % x).ljust(5, b"\0") for x in range(-324, 309))
-    special = b"".join(name.ljust(4, b"\0") for name in (b"nan", b"-inf", b"inf"))
-    tables = (
-        np.array([x >> 63 for x in g], np.uint64),
-        np.array([x & (2**63 - 1) for x in g], np.uint64),
-        np.array([10**i for i in range(18)], np.uint64),
-        np.frombuffer(suffix, "V5"),
-        np.frombuffer(special, np.uint8).reshape(3, 4),
-    )
+def _core_tables():
+    """For each biased exponent b, q = max(b, 1) - 1075: e = floor(q log10 2);
+    the high and low words of Dragonbox's phi_j = ceil(10**j 2**(127 -
+    floor(j log2 10))), j = 2 - e; beta = q + floor(j log2 10), 6 to 9; and
+    delta = floor(phi_high 2**(beta - 63)), the rounding interval's width
+    2**q 10**j rounded down, 100 to 999.  Then, for b >= 2, the digits f and
+    the exponent of 2**(q + 52) by Dragonbox's shorter interval, from 2**q
+    (2**52 - 1/4) to 2**q (2**52 + 1/2), in its uint64 arithmetic."""
+    phi, log2 = [], []
+    for j in range(-292, 327):
+        log2.append((10**j).bit_length() - 1 if j >= 0 else -(10**-j).bit_length())
+        phi.append(-(-(10 ** max(j, 0) << max(127 - log2[-1], 0)) // (10 ** max(-j, 0) << max(log2[-1] - 127, 0))))
+    phi_high = np.array([x >> 64 for x in phi], np.uint64)
+    phi_low = np.array([x & (2**64 - 1) for x in phi], np.uint64)
+    log2 = np.array(log2)
+    q = np.maximum(np.arange(2048), 1) - 1075
+    e = (q * 661971961083) >> 41
+    row = 294 - e  # j = 2 - e
+    high, beta = phi_high[row], (q + log2[row]).astype(np.uint64)
+    # the shorter interval at 10**-k, k = floor(q log10 2 - log10(4/3))
+    k = (q * 661971961083 - 274743187321) >> 41
+    p, shift = phi_high[292 - k], (11 - q - log2[292 - k]).astype(np.uint64)
+    # the left end rounded up: it is an integer, and in, at q = 2 and 3 only
+    left = ((p - (p >> _U(54))) >> shift) + ((q < 2) | (q > 3))
+    right = (p + (p >> _U(53))) >> shift
+    y = ((p >> (shift - _U(1))) + _U(1)) >> _U(1)  # 2**(q + 52) 10**-k rounded half up
+    tie = (q == -77) & ((y & _U(1)) == 1)  # the one tie goes to the even digit
+    y = y - tie + (~tie & (y < left))
+    ten = right // _U(10) * _U(10)
+    tables = (e, high, phi_low[row], beta, high >> (_U(63) - beta), np.where(ten >= left, ten, y), k)
     for table in tables:  # shared by every call
         table.flags.writeable = False
     return tables
 
 
-def _mulhi(a, b_low, b_high):
-    """High word of a b from 32-bit limbs; a < 2**63 and b < 2**60 keep the
-    cross products' sum below 2**64."""
-    a_low, a_high = a & _LOW32, a >> _U(32)
-    cross = a_low * b_high + a_high * b_low
-    low = ((a_low * b_low) >> _U(32)) + (cross & _LOW32)
-    return a_high * b_high + (cross >> _U(32)) + (low >> _U(32))
+@cache
+def _text_tables():
+    """Powers of ten; suffixes e-324 to e+308; nan, -inf, inf."""
+    suffix = b"".join((b"e%+03d" % x).ljust(5, b"\0") for x in range(-324, 309))
+    special = b"".join(name.ljust(4, b"\0") for name in (b"nan", b"-inf", b"inf"))
+    tables = (
+        np.array([10**i for i in range(18)], np.uint64),
+        np.frombuffer(suffix, "V5"),
+        np.frombuffer(special, np.uint8).reshape(3, 4),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _round_odd(words):
-    """Schubfach's rop, g cp 2**-127 rounded to odd, from the products
-    g1 cp = y1 2**64 + y0 and g0 cp = x1 2**64 + x0, g = g1 2**63 + g0."""
-    y1, y0, x1, _ = words
-    z = (y0 >> _U(1)) + x1
-    return (y1 + (z >> _U(63))) | (((z & _LOW63) + _LOW63) >> _U(63))
-
-
-def _moved(words, g1, g0, shift):
-    """The products at cp + 2**shift from those at cp, carries included."""
-    y1, y0, x1, x0 = words
-    up = _U(64) - shift
-    y0n, x0n = y0 + (g1 << shift), x0 + (g0 << shift)
-    return y1 + (g1 >> up) + (y0n < y0), y0n, x1 + (g0 >> up) + (x0n < x0), x0n
+def _mulhi(a, b):
+    """High word of the 128-bit product a b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U(32), b & _LOW32, b >> _U(32)
+    t = a1 * b0 + ((a0 * b0) >> _U(32))
+    w = a0 * b1 + (t & _LOW32)
+    return a1 * b1 + (t >> _U(32)) + (w >> _U(32))
 
 
 def _decimal(bits):
     """(f, e): |v| = f 10**e for the bits of each normal or subnormal v, f
     of 16 or 17 digits for a normal v; a zero's, infinity's or nan's f and e
     mean nothing, but every table index stays in range."""
-    biased = (bits >> _U(52)) & _U(0x7FF)
+    e_of, high_of, low_of, beta_of, delta_of, pow2_f, pow2_e = _core_tables()
+    biased = ((bits >> _U(52)) & _U(0x7FF)).view(np.int64)
     fraction = bits & _FRACTION
-    c = fraction | (np.minimum(biased, 1) << _U(52))
-    q = np.maximum(biased, 1).view(np.int64) - 1075
-    irregular = (fraction == 0) & (biased > 1)
-    k = (q * 661971961083 - irregular * 274743187321) >> 41
-    h = (q + (-k * 913124641741 >> 38) + 2).view(np.uint64)
-    g_high, g_low = _tables()[:2]
-    row = k - _K_MIN
-    g1, g0 = np.take(g_high, row), np.take(g_low, row)
-    # the products at the rounding interval's lower end, then at v and at
-    # its upper end, 2**h (irregular spacing) or 2**(h + 1) apart
-    cp = ((c << _U(2)) - _U(2) + irregular) << h
-    low, high = cp & _LOW32, cp >> _U(32)
-    at_lower = (_mulhi(g1, low, high), g1 * cp, _mulhi(g0, low, high), g0 * cp)
-    at_v = _moved(at_lower, g1, g0, h + _U(1) - irregular)
-    odd = c & _U(1)
-    vbl, vb = _round_odd(at_lower) + odd, _round_odd(at_v)
-    vbr = _round_odd(_moved(at_v, g1, g0, h + _U(1))) - odd
-    s = vb >> _U(2)
-    # one digit shorter when exactly one of 10 s' and 10 s' + 10 is in range
-    sp10 = s // _U(10) * _U(10)
-    upin = vbl <= sp10 << _U(2)
-    short = (upin != ((sp10 + _U(10)) << _U(2) <= vbr)) & (s >= _U(10))
-    uin, win = vbl <= s << _U(2), (s + _U(1)) << _U(2) <= vbr
-    mid = (s << _U(2)) + _U(2)
-    take_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & _U(1)) == 0)))
-    f = np.where(short, sp10 + _U(10) * ~upin, s + ~take_s)
-    return f, k
+    c = fraction | (np.minimum(biased, 1).view(np.uint64) << _U(52))
+    e = np.take(e_of, biased)
+    high, low, beta, delta = (np.take(t, biased) for t in (high_of, low_of, beta_of, delta_of))
+    # z = floor(u phi / 2**128) at the interval's right end u = (2c + 1) 2**beta
+    u = ((c << _U(1)) | _U(1)) << beta
+    low_product = u * high
+    middle = low_product + _mulhi(u, low)
+    z = _mulhi(u, high) + (middle < low_product)
+    s = z // _U(1000)
+    r = z - s * _U(1000)
+    # r < delta: 10 s is in the interval; r > delta: the nearest to y = z -
+    # delta/2 at 10 times the scale, dist / 100 past 10 s
+    dist = r + _U(50) - (delta >> _U(1))
+    d = dist // _U(100)
+    f = s * _U(10) + d * (r > delta)
+    # settled apart: r == 0, r == delta, dist / 100 exact, powers of two
+    rare = np.flatnonzero((dist == d * _U(100)) | (r == delta) | (r == 0) | (c == _U(1 << 52)))
+    if rare.size:
+        b, c, s, r, beta, delta, high, low = (x[rare] for x in (biased, c, s, r, beta, delta, high, low))
+        odd = c & _U(1)
+        # parity and integrality of floor(2f 2**beta phi / 2**128) at the left
+        # end 2f = 2c - 1 (row 0) and at v, 2f = 2c (row 1)
+        two_f = (c << _U(1)) - np.array([[1], [0]], np.uint64)
+        top = two_f * high + _mulhi(two_f, low)
+        parity = (top >> (_U(64) - beta)) & _U(1)
+        integral = ((top << beta) | ((two_f * low) >> (_U(64) - beta))) == 0
+        # an odd c's right end is out: z - 1000 goes to the small divisor
+        excluded = (r == 0) & (middle[rare] == 0) & (odd == 1)
+        s -= excluded
+        r[excluded] = 1000
+        # r == delta: 10 s is in unless the left end, out for an odd c, is past it
+        small = (r > delta) | ((r == delta) & (parity[0] == 0) & ~(integral[0] & (odd == 0)))
+        dist = r + _U(50) - (delta >> _U(1))
+        d = dist // _U(100)
+        f_rare = s * _U(10) + d * small
+        # dist / 100 exact: floor(y) is z - delta/2, whose parity dist has, or
+        # one less, as y's parity tells; a tie goes to the even digit
+        f_rare -= small & (dist == d * _U(100)) & ((parity[1] ^ dist) | (integral[1] & f_rare)) & _U(1)
+        f[rare] = f_rare
+        pow2 = (c == _U(1 << 52)) & (b > 1)
+        if pow2.any():
+            f[rare[pow2]], e[rare[pow2]] = pow2_f[b[pow2]], pow2_e[b[pow2]]
+    return f, e
 
 
 def format_block(block: np.ndarray) -> bytes:
@@ -131,11 +166,11 @@ def format_block(block: np.ndarray) -> bytes:
     if not m:
         return b"\n" * rows
     bits = np.ascontiguousarray(block, np.float64).view(np.uint64).ravel()
-    pow10, suffix, special = _tables()[2:]
+    pow10, suffix, special = _text_tables()
     f, e = _decimal(bits)
-    # a normal value's s = floor(c 2**q / 10**k), c in [2**52, 2**53) and
-    # 2**q / 10**k in [1, 10) (up to 40/3 on irregular spacing), so its f
-    # has 16 or 17 digits; f17 holds them as 17 digits, the first nonzero
+    # a normal value's f is about c 2**q / 10**e, c in [2**52, 2**53) and
+    # 2**q / 10**e in [1, 10) (4/3 to 40/3 for a power of two), so it has
+    # 16 or 17 digits; f17 holds them as 17 digits, the first nonzero
     short = f < _U(10**16)
     f17, x = np.where(short, f * _U(10), f), e + 16 - short  # |v| = d.ddd 10**x
     # zeros, subnormals, infinities and nan (biased exponent 0 or 0x7FF) are

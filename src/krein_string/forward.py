@@ -319,6 +319,46 @@ def mollified_delta(grid: TimeGrid, width: float) -> Waveform:
     return Waveform(grid=grid, values=vals)
 
 
+# How far the trapezoid mass of a sampled ``mollified_delta`` may be from 1.
+# Where the horizon holds the pulse, the mass depends on width / dt alone
+# (measured on 300 random grids a ratio, 0.70 to 1.20 steps by 0.02): from
+# one step up it is off by 6.3e-7 to 7.4e-7, of which the tail that t = 0
+# cuts off holds 2.9e-7; from 0.82 steps up by at most 1.9e-6; at 0.80
+# steps by 5.6e-6 and at 0.70 by 1.3e-4.
+PULSE_MASS_TOL = 2e-6
+
+
+def check_pulse_mass(grid: TimeGrid, width: float) -> None:
+    """``ValueError`` unless ``mollified_delta(grid, width)``'s trapezoid
+    mass is 1 within ``PULSE_MASS_TOL``.  A width below the grid step is
+    refused naming the smallest width, to three digits, from which every
+    one up to a step passes; a wider one is cut off by the horizon."""
+
+    def mass(w):
+        values = mollified_delta(grid, w).values
+        return grid.dt * (float(np.sum(values)) - 0.5 * (values[0] + values[-1]))
+
+    found = mass(width)
+    if abs(found - 1.0) <= PULSE_MASS_TOL:
+        return
+    if width >= grid.dt:
+        raise ValueError(
+            f"the horizon T = {grid.horizon!r} cuts off the delta pulse of width {width!r} "
+            f"centred at {5.0 * width:.3g}: its sampled mass {found:.7g} is not 1 within {PULSE_MASS_TOL}"
+        )
+    smallest = None
+    for k in range(100, 0, -1):
+        candidate = float(f"{k * grid.dt / 100:.3g}")
+        if abs(mass(candidate) - 1.0) > PULSE_MASS_TOL:
+            break
+        smallest = candidate
+    remedy = f"widths from {smallest!r} pass" if smallest else "no width up to one step passes"
+    raise ValueError(
+        f"delta width {width!r} is too narrow for the grid step {grid.dt!r}: its sampled mass "
+        f"{found:.7g} is not 1 within {PULSE_MASS_TOL}; {remedy}"
+    )
+
+
 def _max_frequency(mats: SystemMatrices) -> float:
     lam = np.linalg.eigvalsh(symmetric_reduction(mats))
     return float(np.sqrt(-lam[0]))

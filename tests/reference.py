@@ -12,10 +12,12 @@ The forward solvers' hot paths are held to their plain forms: the running
 modal sums to ``forward.causal_convolution`` of the impulse response, and
 the RK4 oracle to one ``prop @ y + forcing`` per step; so is the uniform
 chain's image sum, as the loop that evaluates every pair until one is
-negligible.
+negligible; and the float formatter's digit core, as Dragonbox one value
+at a time in Python integers.
 """
 
 import itertools
+import struct
 
 import numpy as np
 
@@ -213,3 +215,82 @@ def plain_image_sum(n: int, j: int, times: np.ndarray) -> np.ndarray:
         if np.max(np.abs(pair)) < 1e-16:
             return total
         total += pair
+
+
+def _floor_log10(num: int, den: int) -> int:
+    """floor(log10(num / den)), exactly."""
+    n = len(str(num)) - len(str(den))
+    while num * 10 ** max(-n, 0) < den * 10 ** max(n, 0):
+        n -= 1
+    while num * 10 ** max(-n - 1, 0) >= den * 10 ** max(n + 1, 0):
+        n += 1
+    return n
+
+
+def _phi(j: int) -> tuple[int, int]:
+    """Dragonbox's phi_j = ceil(10**j 2**(127 - floor(j log2 10))) and
+    floor(j log2 10)."""
+    log2 = (10**j).bit_length() - 1 if j >= 0 else -((10**-j).bit_length())
+    num, den = 10 ** max(j, 0) << max(127 - log2, 0), 10 ** max(-j, 0) << max(log2 - 127, 0)
+    return -(-num // den), log2
+
+
+def _parity_and_integral(two_f: int, phi: int, beta: int) -> tuple[int, bool]:
+    """Parity of floor(two_f 2**beta phi / 2**128), and whether its top 64
+    bits of fraction are zero, from the low 128 bits of two_f phi."""
+    low = (two_f * phi) % 2**128
+    return (low >> (128 - beta)) & 1, (low << beta) % 2**128 >> 64 == 0
+
+
+def dragonbox(v: float) -> tuple[int, int, str]:
+    """(f, e, branch) for a finite nonzero v: |v| = f 10**e by Dragonbox's
+    shortest, nearest, ties-to-even digits (J. Jeon, 2020), f of 16 or 17
+    digits for a normal v, as ``floattext._decimal`` gives them, and the
+    name of the branch that set them."""
+    bits = struct.unpack("<Q", struct.pack("<d", abs(v)))[0]
+    biased, fraction = bits >> 52, bits & (2**52 - 1)
+    c, q = fraction | min(biased, 1) << 52, max(biased, 1) - 1075
+    if fraction == 0 and biased > 1:
+        # the shorter interval, (c - 1/4, c + 1/2) 2**q, at 10**-k
+        k = _floor_log10(3 << max(q, 0), 4 << max(-q, 0))
+        phi, log2 = _phi(-k)
+        shift = 11 - q - log2
+        left = ((phi >> 64) - (phi >> 118)) >> shift
+        right = ((phi >> 64) + (phi >> 117)) >> shift
+        y = ((phi >> (63 + shift)) + 1) >> 1
+        name = "shorter, integral left end" if 2 <= q <= 3 else None
+        left += name is None
+        if right // 10 * 10 >= left:
+            return right // 10 * 10, k, name or "shorter, big divisor"
+        if y & 1 and q == -77:
+            return y - 1, k, "shorter, tie to even"
+        if y < left:
+            return y + 1, k, name or "shorter, raised"
+        return y, k, name or "shorter, rounded"
+    e = _floor_log10(1 << max(q, 0), 1 << max(-q, 0))
+    phi, log2 = _phi(2 - e)
+    beta = q + log2
+    delta = phi >> (127 - beta)
+    product = ((2 * c + 1) << beta) * phi
+    z, middle = product >> 128, product >> 64 & (2**64 - 1)
+    s, r = divmod(z, 1000)
+    name = None
+    if r < delta:
+        if r or middle or not c & 1:
+            return 10 * s, e, "big divisor"
+        s, r, name = s - 1, 1000, "excluded right end"
+    elif r == delta:
+        parity, integral = _parity_and_integral(2 * c - 1, phi, beta)
+        if parity or (integral and not c & 1):
+            return 10 * s, e, "r == delta, big divisor"
+        name = "r == delta, small divisor"
+    dist = r - delta // 2 + 50
+    f = 10 * s + dist // 100
+    if dist % 100:
+        return f, e, name or "small divisor"
+    parity, integral = _parity_and_integral(2 * c, phi, beta)
+    if parity != dist & 1:
+        return f - 1, e, name or "parity fix, lowered"
+    if integral and f & 1:
+        return f - 1, e, name or "parity fix, tie to even"
+    return f, e, name or "parity fix, kept"

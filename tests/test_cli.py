@@ -261,11 +261,31 @@ REFUSALS = [
     *((f"{FORWARD} --control delta:1e-320{solver}", 2,
        "delta width 1e-320 puts the peak 1/(width sqrt(2 pi)) past the largest float\n")
       for solver in ("", " --solver ode")),
+    # a width below 0.82 grid steps samples a pulse whose mass is not 1 (on
+    # a 3-segment unit string u_1(0.01) read 7.4e-06 and 3.7e-08, against
+    # 0.0100 for the analytic delta); the detail names the smallest width
+    # that passes
+    *((f"forward --spec {{spec}} --T 1.0 --steps 100 --control delta:{w}{solver}", 2,
+       f"delta width {w} is too narrow for the grid step 0.01: its sampled mass {mass} is not 1 "
+       "within 2e-06; widths from 0.0082 pass\n")
+      for w, mass in (("1e-05", "0.0007433598"), ("0.002", "1.994723")) for solver in ("", " --solver ode")),
+    ("forward --spec {spec} --T 1.0 --steps 8 --control delta:0.05", 2,
+     "delta width 0.05 is too narrow for the grid step 0.125: its sampled mass 1.085003 is not 1 within "
+     "2e-06; no width up to one step passes\n"),
+    ("forward --spec {spec} --T 1.0 --steps 100 --control delta:0.11", 2,
+     "the horizon T = 1.0 cuts off the delta pulse of width 0.11 centred at 0.55: its sampled mass "
+     "0.999978 is not 1 within 2e-06\n"),
     (f"{FORWARD} --control deltafoo", 2, "unknown test function 'deltafoo'\n"),
     (f"{FORWARD} --control gauss:0.3,0", 2, f"{BAD_XI} 'gauss:0.3,0': "),
     (f"{SWEEP} 3 --N 8 --xi gauss:0.0,0", 2, f"{BAD_XI} 'gauss:0.0,0': "),
     *((f"{SWEEP} 2 --N 8 --xi {xi}", 2, f"{BAD_XI} '{xi}': ")
       for xi in ("gauss:0.0,0", "gauss:nan,0.3", "gauss:0.0,inf", "rcos:0.1,0", "rcos:0.1,-0.2", "sine:nan")),
+    # a bump narrower than the pairing's step, 0.05 / 2N in t, whose pairing
+    # may exceed tol, refused at the smallest N, whose width every N takes
+    *((f"{SWEEP} {prop} --N 16,8 --xi gauss:0.5,0.001", 2,
+       "test function width 0.001 is below the pairing's trapezoid step at N = 8, 0.05 in s = 2 N t: "
+       "widths from 0.003125 pass\n")
+      for prop in (2, 3)),
     (f"{SWEEP} 4 --N 8 --k 0", 2, "--k must be a positive integer, got 0\n"),
     (f"{SWEEP} 4 --N 8 --k=-2", 2, "--k must be a positive integer, got -2\n"),
     *((f"{SWEEP} {prop} --N={n}", 2, f"--N needs integer segment counts of at least 2, got '{n}'\n")
@@ -359,6 +379,20 @@ def test_the_inputs_next_to_a_refusal_run(tmp_path, spec_file):
     assert run(*ode, "--steps", "3") == 0
     for xi in ("sine:1", "one"):
         assert run(*FORWARD.format(spec=spec_file).split(), "--control", xi, "--out", out) == 0
+
+
+def test_the_widths_a_refusal_names_run(tmp_path, spec_file):
+    # the smallest delta and bump widths that the refusals above name pass;
+    # a bump far below the pairing's step pairs to 0 within tol, where the
+    # node s = 8 at N = 8 hit its centre (-0.0014 at N = 8, 0.0012 at 16)
+    out = tmp_path / "out"
+    forward = ["forward", "--spec", spec_file, "--T", "1.0", "--steps", "100", "--out", str(out)]
+    for solver in ("spectral", "ode"):
+        assert run(*forward, "--control", "delta:0.0082", "--solver", solver) == 0
+    sweep = ["uniform-sweep", "--prop", "2", "--N", "16,8", "--out", str(out)]
+    assert run(*sweep, "--xi", "gauss:0.5,0.003125") == 0
+    assert run(*sweep, "--xi", "gauss:0.5,1e-300") == 0
+    assert csv_floats(out / "uniform_prop2.csv")[:, 2].tolist() == [0.0, 0.0]
 
 
 def test_strings_whose_modes_agree_to_rounding_run(tmp_path, capsys):

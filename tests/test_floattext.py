@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krein_string.floattext import _decimal, format_block
+from reference import dragonbox
 
 
 def repr_join(block):
@@ -58,7 +59,7 @@ SWEEPS = {
     "powers of ten": with_neighbours([float(f"1e{k}") for k in range(-323, 309)]),
     "first subnormals": np.arange(1, 3001, dtype=np.uint64).view(np.float64),
     "integers": np.arange(3001, dtype=np.float64),
-    # integers below 2**53 take Schubfach's digits like every other value
+    # integers below 2**53 take the digit core like every other value
     "integers below 2**53": RNG.integers(0, 2**53, 20000).astype(np.float64),
     "integers times 2**k": np.ldexp(RNG.integers(1, 2**20, (200, 1)).astype(np.float64), np.arange(53)).ravel(),
     "notation edges": with_neighbours([1e16, 1e-4]),
@@ -83,8 +84,56 @@ def test_sweep_matches_repr_at_both_signs(name):
         assert format_block(block) == repr_join(block), (name, cols)
 
 
+# values that take each branch of the digit core (see reference.dragonbox);
+# z is the product at the right end of the rounding interval, r = z mod
+# 1000 and delta the interval's width in z's units
+BRANCHES = {
+    "big divisor": [0.3, 123456.789, 1e23],
+    "small divisor": [0.14285714285714285, 5e-324, 2.2250738585072014e-308],
+    "r == delta, big divisor": [7e22, 1.9e22],
+    "r == delta, small divisor": [4.9564223949310413e-14, 1.2902612715825631e-38],
+    # r == 0 and z integral: the right end c + 1/2 of an odd c is out
+    "excluded right end": [18014398509481988.0, 18014398509482028.0],
+    "parity fix, lowered": [982.9115367403951, 9.640501444509121],
+    "parity fix, kept": [3.1980480906416955e-108, 1125899906842624.8],
+    "parity fix, tie to even": [1125899906842624.2, 582766991999870.2],
+    # powers of two, from the shorter interval (c - 1/4, c + 1/2) 2**q
+    "shorter, big divisor": [1.0, 2.0, 1024.0],
+    "shorter, rounded": [9007199254740992.0, 8.900295434028806e-308],
+    "shorter, raised": [7.120236347223045e-307, 7.291122019556398e-304],
+    "shorter, tie to even": [2.0**-25],
+    "shorter, integral left end": [2.0**54, 2.0**55],
+}
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_each_branch_of_the_digit_core(branch):
+    values = np.array(BRANCHES[branch])
+    digits = [dragonbox(v) for v in values.tolist()]
+    assert [name for _, _, name in digits] == [branch] * len(values)
+    f, e = _decimal(values.view(np.uint64))
+    assert list(zip(f.tolist(), e.tolist())) == [(fr, er) for fr, er, _ in digits]
+    block = both_signs(values)[:, None]
+    assert format_block(block) == repr_join(block)
+
+
+def test_the_sweeps_reach_every_branch():
+    # so that an edit to SWEEPS cannot drop a branch unseen; on the way, the
+    # digit core gives the reference's digits on every swept value
+    reached = set()
+    for values in SWEEPS.values():
+        values = np.unique(np.abs(np.asarray(values, dtype=np.float64)))
+        values = values[np.isfinite(values) & (values > 0.0)]
+        digits = [dragonbox(v) for v in values.tolist()]
+        f, e = _decimal(values.view(np.uint64))
+        assert list(zip(f.tolist(), e.tolist())) == [(fr, er) for fr, er, _ in digits]
+        reached |= {name for _, _, name in digits}
+    assert reached == set(BRANCHES)
+
+
 def test_shortest_closest_digits():
-    # the one-digit shortening at s >= 10 and the subnormals Java pads
+    # short digit strings, the first subnormals' among them, and 2**53 + 1,
+    # which reads back as 2**53
     block = np.array([[5e-324, 1e-323, 0.1, 0.3, 2.0**-1074 * 3, 9007199254740993.0, 1e23]])
     assert format_block(block) == b"5e-324,1e-323,0.1,0.3,1.5e-323,9007199254740992.0,1e+23\n"
 
